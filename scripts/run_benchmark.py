@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pinassign import AllPinsUsedWarning, parse_board, parse_request  # noqa: E402
-from pinassign.cli import bench  # noqa: E402
+from pinassign.cli import bench, format_bench_table  # noqa: E402
 
 REPO = Path(__file__).resolve().parent.parent
 FEASIBLE_REQUEST = "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
@@ -25,21 +25,7 @@ IMPOSSIBLE_REQUEST = "can-tx,can-tx,can-tx,can-tx,can-tx,can-tx,can-tx,can-tx,ca
 
 def print_table(title, rows):
     print(title)
-    print(
-        f"{'length':>6} {'pinsets':>8} {'labeled':>8} {'first':>6} {'best':>6} "
-        f"{'t_feasible':>11} {'t_all':>9} {'t_best':>8}"
-    )
-    for row in rows:
-        if "error" in row:
-            print(f"{row['length']:>6} error: {row['error']}")
-            continue
-        first = "-" if row["first_cost"] is None else str(row["first_cost"])
-        best = "-" if row["best_cost"] is None else str(row["best_cost"])
-        print(
-            f"{row['length']:>6} {row['count_pinsets']:>8} {row['count_labeled']:>8} "
-            f"{first:>6} {best:>6} "
-            f"{row['t_feasible']:>11.3f} {row['t_all']:>9.3f} {row['t_best']:>8.3f}"
-        )
+    print(format_bench_table(rows))
     print()
 
 

@@ -32,7 +32,6 @@ from .oracle import InstanceTooLargeError, brute_force_solve
 from .request import Request, RequestParseError, parse_request, quick_reject
 from .solver import (
     Assignment,
-    BestStrategy,
     EnumerationLimitError,
     Infeasible,
     RULES_BY_NAME,
@@ -89,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-best", help="find a minimum-cost assignment")
     add_common(p, board=True, request=True, rules=True)
-    p.add_argument(
-        "--strategy", choices=["matching", "threshold", "enumerate"], default="matching"
-    )
 
     p = sub.add_parser("count", help="size of the configuration space")
     add_common(p)
@@ -149,13 +145,11 @@ def _read_board(path: str) -> Board:
     return parse_board(Path(path).read_text(encoding="utf-8"))
 
 
-def _options(args, semantics: str | None = None, strategy: str | None = None) -> SolveOptions:
+def _options(args, semantics: str | None = None) -> SolveOptions:
     rules = tuple(RULES_BY_NAME[name]() for name in getattr(args, "rule", []))
     kwargs = {"rules": rules}
     if semantics is not None:
         kwargs["semantics"] = Semantics(semantics)
-    if strategy is not None:
-        kwargs["strategy"] = BestStrategy(strategy)
     if hasattr(args, "cap") and args.cap is not None and args.command == "solve-all":
         kwargs["enumeration_cap"] = args.cap
     return SolveOptions(**kwargs)
@@ -292,7 +286,7 @@ def _cmd_solve_all(args) -> int:
 def _cmd_solve_best(args) -> int:
     board = _read_board(args.board)
     request = parse_request(args.request)
-    outcome = find_best(board, request, _options(args, strategy=args.strategy))
+    outcome = find_best(board, request, _options(args))
     if isinstance(outcome, Infeasible):
         if args.format == "json":
             print(json.dumps(_infeasible_doc(outcome), indent=2))
@@ -506,6 +500,26 @@ def bench(
     return rows
 
 
+def format_bench_table(rows: list[dict]) -> str:
+    """bench rows as a fixed-width text table, one line per prefix length."""
+    lines = [
+        f"{'length':>6} {'pinsets':>8} {'labeled':>8} {'first':>6} {'best':>6} "
+        f"{'t_feasible':>11} {'t_all':>8} {'t_best':>8}"
+    ]
+    for row in rows:
+        if "error" in row:
+            lines.append(f"{row['length']:>6} error: {row['error']}")
+            continue
+        first = "-" if row["first_cost"] is None else str(row["first_cost"])
+        best = "-" if row["best_cost"] is None else str(row["best_cost"])
+        lines.append(
+            f"{row['length']:>6} {row['count_pinsets']:>8} {row['count_labeled']:>8} "
+            f"{first:>6} {best:>6} "
+            f"{row['t_feasible']:>11.3f} {row['t_all']:>8.3f} {row['t_best']:>8.3f}"
+        )
+    return "\n".join(lines)
+
+
 def _cmd_bench(args) -> int:
     board = _read_board(args.board)
     request = parse_request(args.request)
@@ -517,22 +531,7 @@ def _cmd_bench(args) -> int:
     if args.format == "json":
         print(json.dumps({"rows": rows}, indent=2))
         return EXIT_OK
-    header = (
-        f"{'length':>6} {'pinsets':>8} {'labeled':>8} {'first':>6} {'best':>6} "
-        f"{'t_feasible':>11} {'t_all':>8} {'t_best':>8}"
-    )
-    print(header)
-    for row in rows:
-        if "error" in row:
-            print(f"{row['length']:>6} error: {row['error']}")
-            continue
-        first = "-" if row["first_cost"] is None else str(row["first_cost"])
-        best = "-" if row["best_cost"] is None else str(row["best_cost"])
-        print(
-            f"{row['length']:>6} {row['count_pinsets']:>8} {row['count_labeled']:>8} "
-            f"{first:>6} {best:>6} "
-            f"{row['t_feasible']:>11.3f} {row['t_all']:>8.3f} {row['t_best']:>8.3f}"
-        )
+    print(format_bench_table(rows))
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ exact integer arithmetic (Python ints never overflow).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from itertools import accumulate
 
 
 def binomial(n: int, k: int) -> int:
@@ -22,7 +22,18 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-@lru_cache(maxsize=None)
+def _k_factor_row(n: int, m: int) -> list[int]:
+    """[k_factor(p, m) for p in 0..n], built bottom-up over the kind count.
+
+    Row m is 1 plus the running sums of row m - 1, which is the recurrence of
+    k_factor evaluated for every p at once. Entry 0 is the empty sum's 1.
+    """
+    row = [1] * (n + 1)
+    for _ in range(m - 1):
+        row = list(accumulate(row[1:], initial=1))
+    return row
+
+
 def k_factor(n: int, m: int) -> int:
     """Number of distinct kind multisets of length n over m kinds.
 
@@ -36,9 +47,7 @@ def k_factor(n: int, m: int) -> int:
     """
     if n < 1 or m < 1:
         raise ValueError("k_factor requires n >= 1 and m >= 1")
-    if m == 1:
-        return 1
-    return 1 + sum(k_factor(p, m - 1) for p in range(1, n + 1))
+    return _k_factor_row(n, m)[n]
 
 
 def config_space(n_pins: int, m: int, max_len: int) -> int:
@@ -52,7 +61,9 @@ def config_space(n_pins: int, m: int, max_len: int) -> int:
         raise ValueError("n_pins and max_len must be nonnegative")
     if m < 1:
         raise ValueError("m must be positive")
-    return sum(binomial(n_pins, k) * k_factor(k, m) for k in range(1, max_len + 1))
+    top = min(n_pins, max_len)
+    row = _k_factor_row(top, m)
+    return sum(binomial(n_pins, k) * row[k] for k in range(1, top + 1))
 
 
 def config_space_board(board) -> int:

@@ -15,6 +15,10 @@ Two counting semantics are supported. LABELED counts every distinct
 slot-to-pin map (two slots of the same kind with swapped pins are two
 solutions). UNIQUE_PIN_SETS counts one representative per distinct set of
 used pins, namely the smallest binding realizing that set.
+
+find_feasible binds slots greedily under a matching check, iter_assignments
+is a pruned depth-first search, and find_best is a single weighted bipartite
+assignment solve whose weights carry the lexicographic tie-break.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ REASON_PIGEONHOLE = "pigeonhole"
 REASON_EXHAUSTED = "exhausted-search"
 
 _ICU_CH12_RE = re.compile(r"TIM\d+_CH[12]\Z")
-_COST_INF = 1 << 60
 
 
 class AllPinsUsedWarning(UserWarning):
@@ -54,12 +57,6 @@ class EnumerationLimitError(RuntimeError):
 class Semantics(Enum):
     UNIQUE_PIN_SETS = "pinsets"
     LABELED = "labeled"
-
-
-class BestStrategy(Enum):
-    MIN_COST_MATCHING = "matching"
-    COST_THRESHOLD = "threshold"
-    ENUMERATE_MIN = "enumerate"
 
 
 @dataclass(frozen=True)
@@ -96,7 +93,6 @@ RULES_BY_NAME = {"icu-ch12": icu_channel_rule}
 class SolveOptions:
     semantics: Semantics = Semantics.UNIQUE_PIN_SETS
     rules: tuple[EligibilityRule, ...] = ()
-    strategy: BestStrategy = BestStrategy.MIN_COST_MATCHING
     enumeration_cap: int = 1_000_000
 
 
@@ -427,186 +423,82 @@ def enumerate_all(
     return out
 
 
-def _min_cost_total(
-    problem: _Problem, kinds: tuple[str, ...], candidates: list[int]
-) -> int | None:
-    """Exact minimum total cost of matching every slot to a distinct pin.
+def _lex_min_cost(problem: _Problem) -> tuple[int, ...]:
+    """Pin tuple of the minimum-cost assignment, ties broken lexicographically.
 
-    Shortest-augmenting-path assignment with potentials over the implicit
-    matrix a[slot][pin] = cost(pin) where eligible, else a huge sentinel.
-    Returns None when no all-slots matching exists among the candidates.
+    One Kuhn-Munkres solve with Jonker-Volgenant shortest augmenting paths,
+    over the eligible edges only. With P pins and L slots, slot i on pin p
+    weighs cost(p) * P**L + p * P**(L-1-i). The second terms of an assignment
+    spell its pin tuple in base P and sum to less than P**L, so weights order
+    assignments by (cost, pin tuple) and the minimum-weight matching is
+    unique. Python ints keep the weights exact. The caller guarantees that a
+    matching saturating every slot exists (_prepare checks it).
     """
-    n_rows = len(kinds)
-    n_cols = len(candidates)
-    if n_rows == 0:
-        return 0
-    if n_rows > n_cols:
-        return None
-    elig_sets = [set(problem.elig[k]) for k in kinds]
-    # Saturability pre-check keeps the sentinel weights off every shortest
-    # path below, so the potentials stay within real cost magnitudes.
-    if not _matchable(problem, kinds, set(range(len(problem.costs))) - set(candidates)):
-        return None
-
-    def weight(row: int, col: int) -> int:
-        p = candidates[col]
-        return problem.costs[p] if p in elig_sets[row] else _COST_INF
-
-    u = [0] * (n_rows + 1)
-    v = [0] * (n_cols + 1)
-    match_row = [0] * (n_cols + 1)  # 1-based row matched to each column
-    way = [0] * (n_cols + 1)
-    for i in range(1, n_rows + 1):
-        match_row[0] = i
-        j0 = 0
-        minv = [_COST_INF * 4] * (n_cols + 1)
-        visited = [False] * (n_cols + 1)
-        while True:
-            visited[j0] = True
-            i0 = match_row[j0]
-            delta = None
-            j1 = -1
-            for j in range(1, n_cols + 1):
-                if visited[j]:
-                    continue
-                cur = weight(i0 - 1, j - 1) - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if delta is None or minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            if j1 == -1:
-                return None
-            for j in range(n_cols + 1):
-                if visited[j]:
-                    u[match_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_row[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match_row[j0] = match_row[j1]
-            j0 = j1
-    total = 0
-    for j in range(1, n_cols + 1):
-        if match_row[j]:
-            w = weight(match_row[j] - 1, j - 1)
-            if w >= _COST_INF:
-                return None
-            total += w
-    return total
-
-
-def _best_by_matching(problem: _Problem) -> Assignment:
-    all_pins = list(range(len(problem.board.pins)))
-    slots = problem.slots
-    total = _min_cost_total(problem, slots, all_pins)
-    if total is None:
-        raise AssertionError("feasible instance has no min-cost matching")
-    chosen: list[int] = []
-    used: set[int] = set()
-    spent = 0
-    for i, kind in enumerate(slots):
-        for p in problem.elig[kind]:
-            if p in used:
-                continue
-            rest = [q for q in all_pins if q not in used and q != p]
-            residual = _min_cost_total(problem, slots[i + 1 :], rest)
-            if residual is not None and spent + problem.costs[p] + residual == total:
-                chosen.append(p)
-                used.add(p)
-                spent += problem.costs[p]
-                break
-    if len(chosen) != len(slots):
-        raise AssertionError("min-cost reconstruction failed to bind every slot")
-    return problem.assignment(tuple(chosen))
-
-
-def _first_within_budget(problem: _Problem, budget: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest binding with total cost <= budget, if any."""
     slots = problem.slots
     length = len(slots)
-    chosen: list[int] = []
-    used: set[int] = set()
-
-    def cheapest_completion(exclude: int, remaining: int) -> int:
-        free = sorted(
-            problem.costs[q]
-            for q in range(len(problem.costs))
-            if q not in used and q != exclude
-        )
-        return sum(free[:remaining])
-
-    def rec(i: int, spent: int) -> tuple[int, ...] | None:
-        if i == length:
-            return tuple(chosen)
-        for p in problem.elig[slots[i]]:
-            if p in used:
-                continue
-            bound = spent + problem.costs[p] + cheapest_completion(p, length - i - 1)
-            if bound > budget:
-                continue
-            if not _matchable(problem, slots[i + 1 :], used | {p}):
-                continue
-            used.add(p)
-            chosen.append(p)
-            result = rec(i + 1, spent + problem.costs[p])
-            if result is not None:
-                return result
-            chosen.pop()
-            used.remove(p)
-        return None
-
-    return rec(0, 0)
-
-
-def _best_by_threshold(problem: _Problem) -> Assignment:
-    length = len(problem.slots)
-    pc_min = min(p.cost for p in problem.board.pins)
-    pc_max = max(p.cost for p in problem.board.pins)
-    for bound in range(length * pc_min, length * pc_max + 1):
-        chosen = _first_within_budget(problem, bound)
-        if chosen is not None:
-            return problem.assignment(chosen)
-    raise AssertionError("feasible instance has no solution within the cost range")
-
-
-def _best_by_enumeration(problem: _Problem) -> Assignment:
-    best: tuple[int, tuple[int, ...]] | None = None
-    for chosen in _iter_representatives(problem):
-        key = (sum(problem.costs[p] for p in chosen), chosen)
-        if best is None or key < best:
-            best = key
-    if best is None:
-        raise AssertionError("feasible instance enumerated no solutions")
-    return problem.assignment(best[1])
+    n_pins = len(problem.costs)
+    scale = n_pins**length
+    weights: list[dict[int, int]] = []
+    for i, kind in enumerate(slots):
+        place = n_pins ** (length - 1 - i)
+        weights.append({p: problem.costs[p] * scale + p * place for p in problem.elig[kind]})
+    # Insert slots one at a time. Each insertion grows a shortest-path tree
+    # from the new slot (Dijkstra on the reduced weights w - u[slot] - v[pin],
+    # which the potentials keep nonnegative) until it reaches a free pin, then
+    # flips the matching along that path.
+    root = n_pins  # virtual column holding the slot being inserted
+    u = [0] * length
+    v = [0] * (n_pins + 1)
+    owner: list[int | None] = [None] * (n_pins + 1)  # slot matched to each pin
+    for slot in range(length):
+        owner[root] = slot
+        way: dict[int, int] = {}
+        slack: dict[int, int] = {}
+        done = {root}  # columns on the shortest-path tree
+        col = root
+        while True:
+            row = owner[col]
+            for p, w in weights[row].items():
+                if p in done:
+                    continue
+                cur = w - u[row] - v[p]
+                if p not in slack or cur < slack[p]:
+                    slack[p] = cur
+                    way[p] = col
+            col = min(slack, key=slack.__getitem__)
+            delta = slack.pop(col)
+            for q in done:
+                u[owner[q]] += delta
+                v[q] -= delta
+            for q in slack:
+                slack[q] -= delta
+            if owner[col] is None:
+                break
+            done.add(col)
+        while col != root:
+            prev = way[col]
+            owner[col] = owner[prev]
+            col = prev
+    chosen = [0] * length
+    for p in range(n_pins):
+        if owner[p] is not None:
+            chosen[owner[p]] = p
+    return tuple(chosen)
 
 
 def find_best(
     board: Board, request: Request, options: SolveOptions | None = None
 ) -> SolveOutcome:
-    """Return a minimum-total-cost assignment, ties broken lexicographically.
+    """Return the minimum-total-cost assignment, ties broken lexicographically.
 
-    All strategies return the identical assignment. MIN_COST_MATCHING solves
-    the weighted bipartite assignment exactly; COST_THRESHOLD probes cost
-    bounds upward from length * min pin cost until one is satisfiable;
-    ENUMERATE_MIN scans every distinct pin set.
+    Solved exactly by one weighted bipartite assignment whose weights encode
+    the lexicographic tie-break.
     """
     options = options or SolveOptions()
     problem, infeasible = _prepare(board, request, options)
     if infeasible is not None:
         return infeasible
-    if not problem.slots:
-        return problem.assignment(())
-    if options.strategy is BestStrategy.COST_THRESHOLD:
-        return _best_by_threshold(problem)
-    if options.strategy is BestStrategy.ENUMERATE_MIN:
-        return _best_by_enumeration(problem)
-    return _best_by_matching(problem)
+    return problem.assignment(_lex_min_cost(problem))
 
 
 def assignment_cost(board: Board, assignment: Assignment) -> int:

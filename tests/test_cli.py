@@ -1,11 +1,14 @@
 """CLI contract: exit codes, JSON shapes, determinism."""
 
 import json
+import math
 
 import pytest
 
+from pinassign import parse_board, parse_request
 from pinassign.cli import run
 
+from best_references import best_by_enumeration, best_by_threshold
 from conftest import DEMO_BOARD_PATH, TWO_PIN_TEXT
 
 DEMO = str(DEMO_BOARD_PATH)
@@ -64,6 +67,13 @@ def test_count_formula_mode(capsys):
     assert capsys.readouterr().out.strip() == "1099126862792"
 
 
+def test_count_formula_mode_thousands_of_functions(capsys):
+    argv = ["count", "--pins", "50", "--functions", "3000", "--format", "json"]
+    assert run(argv) == 0
+    closed_form = sum(math.comb(50, k) * math.comb(k + 2999, 2999) for k in range(1, 51))
+    assert _json_out(capsys)["count"] == closed_form
+
+
 def test_count_board_mode(two_pin_file, capsys):
     assert run(["count", "--board", two_pin_file]) == 0
     assert capsys.readouterr().out.strip() == "19"
@@ -106,25 +116,15 @@ def test_solve_all_oracle_flag(two_pin_file, capsys):
 
 
 def test_solve_best_strategies_match(two_pin_file, capsys):
-    docs = []
-    for strategy in ("matching", "threshold", "enumerate"):
-        code = run(
-            [
-                "solve-best",
-                "--board",
-                two_pin_file,
-                "--request",
-                "icu",
-                "--strategy",
-                strategy,
-                "--format",
-                "json",
-            ]
-        )
-        assert code == 0
-        docs.append(_json_out(capsys))
-    assert docs[0] == docs[1] == docs[2]
-    assert docs[0]["cost"] == 3
+    code = run(["solve-best", "--board", two_pin_file, "--request", "icu", "--format", "json"])
+    assert code == 0
+    doc = _json_out(capsys)
+    assert doc["cost"] == 3
+    board, request = parse_board(TWO_PIN_TEXT), parse_request("icu")
+    for reference in (best_by_threshold, best_by_enumeration):
+        expected = reference(board, request)
+        assert [row["pin"] for row in doc["assignment"]] == [b.pin for b in expected.bindings]
+        assert doc["cost"] == expected.total_cost
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")

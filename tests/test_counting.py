@@ -53,6 +53,8 @@ def test_k_factor_equals_closed_form():
     for n in range(1, 13):
         for m in range(1, 7):
             assert k_factor(n, m) == binomial(n + m - 1, m - 1)
+    # thousands of kinds: far deeper than the interpreter's recursion limit
+    assert k_factor(50, 3000) == binomial(50 + 3000 - 1, 3000 - 1)
 
 
 def test_k_factor_rejects_nonpositive():
