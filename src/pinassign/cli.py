@@ -16,7 +16,7 @@ import sys
 import time
 from pathlib import Path
 
-from .board import Board, BoardParseError, board_stats, parse_board
+from .board import Board, board_stats, parse_board
 from .codegen import (
     DEFAULT_FACT_CAP,
     EmitterCapError,
@@ -28,8 +28,8 @@ from .codegen import (
 )
 from .configops import diff_assignments, merge_requests
 from .counting import config_space, config_space_board
-from .oracle import InstanceTooLargeError, brute_force_solve
-from .request import Request, RequestParseError, parse_request, quick_reject
+from .oracle import brute_force_solve
+from .request import Request, parse_request, quick_reject
 from .solver import (
     Assignment,
     EnumerationLimitError,
@@ -145,14 +145,8 @@ def _read_board(path: str) -> Board:
     return parse_board(Path(path).read_text(encoding="utf-8"))
 
 
-def _options(args, semantics: str | None = None) -> SolveOptions:
-    rules = tuple(RULES_BY_NAME[name]() for name in getattr(args, "rule", []))
-    kwargs = {"rules": rules}
-    if semantics is not None:
-        kwargs["semantics"] = Semantics(semantics)
-    if hasattr(args, "cap") and args.cap is not None and args.command == "solve-all":
-        kwargs["enumeration_cap"] = args.cap
-    return SolveOptions(**kwargs)
+def _options(args) -> SolveOptions:
+    return SolveOptions(rules=tuple(RULES_BY_NAME[name]() for name in args.rule))
 
 
 def _assignment_doc(assignment: Assignment) -> dict:
@@ -211,8 +205,7 @@ def _cmd_validate(args) -> int:
             "canonical": list(request.canonical),
             "quick_reject": rejected.reason if rejected else None,
         }
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
+    if args.format == "json":
         print(json.dumps(doc, indent=2))
     else:
         print(f"board: {board.name or '(unnamed)'}")
@@ -229,9 +222,10 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    solve = find_best if args.command == "solve-best" else find_feasible
     board = _read_board(args.board)
     request = parse_request(args.request)
-    outcome = find_feasible(board, request, _options(args))
+    outcome = solve(board, request, _options(args))
     if isinstance(outcome, Infeasible):
         if args.format == "json":
             print(json.dumps(_infeasible_doc(outcome), indent=2))
@@ -248,7 +242,7 @@ def _cmd_solve(args) -> int:
 def _cmd_solve_all(args) -> int:
     board = _read_board(args.board)
     request = parse_request(args.request)
-    options = _options(args, semantics=args.semantics)
+    options = SolveOptions(Semantics(args.semantics), _options(args).rules, args.cap)
     assignments = enumerate_all(board, request, options)
     if args.oracle:
         result = brute_force_solve(board, request, options.rules)
@@ -281,23 +275,6 @@ def _cmd_solve_all(args) -> int:
         if args.oracle:
             print("oracle check: ok")
     return EXIT_OK if assignments else EXIT_INFEASIBLE
-
-
-def _cmd_solve_best(args) -> int:
-    board = _read_board(args.board)
-    request = parse_request(args.request)
-    outcome = find_best(board, request, _options(args))
-    if isinstance(outcome, Infeasible):
-        if args.format == "json":
-            print(json.dumps(_infeasible_doc(outcome), indent=2))
-        else:
-            _print_infeasible_text(outcome)
-        return EXIT_INFEASIBLE
-    if args.format == "json":
-        print(json.dumps(_assignment_doc(outcome), indent=2))
-    else:
-        _print_assignment_text(outcome)
-    return EXIT_OK
 
 
 def _cmd_count(args) -> int:
@@ -367,16 +344,15 @@ def _cmd_emit(args) -> int:
         output = emit_alloy_best_assertions(
             parse_request(args.request), min(costs), max(costs)
         )
-    if args.out:
-        Path(args.out).write_text(output.text, encoding="utf-8")
-        print(f"wrote {output.items} items ({output.nbytes} bytes) to {args.out}")
-    else:
-        sys.stdout.write(output.text)
-    return EXIT_OK
+    return _write_document(args, output)
 
 
 def _cmd_graph(args) -> int:
-    output = emit_graph_dot(_read_board(args.board))
+    return _write_document(args, emit_graph_dot(_read_board(args.board)))
+
+
+def _write_document(args, output) -> int:
+    """Write an emitted document to --out (reporting its size) or to stdout."""
     if args.out:
         Path(args.out).write_text(output.text, encoding="utf-8")
         print(f"wrote {output.items} items ({output.nbytes} bytes) to {args.out}")
@@ -458,8 +434,10 @@ def bench(
     first-feasible and best costs, and wall-clock times (monotonic, seconds).
     Per-length errors are recorded in the row instead of aborting the run.
     """
-    if max_len > request.length:
-        raise ValueError("max_len exceeds the request length")
+    if not 1 <= max_len <= request.length:
+        raise ValueError(
+            f"max_len must be between 1 and the request length {request.length}, got {max_len}"
+        )
     options = options or SolveOptions()
     rows: list[dict] = []
     for length in range(1, max_len + 1):
@@ -524,9 +502,6 @@ def _cmd_bench(args) -> int:
     board = _read_board(args.board)
     request = parse_request(args.request)
     max_len = args.max_len if args.max_len is not None else request.length
-    if max_len > request.length:
-        print("error: --max-len exceeds the request length", file=sys.stderr)
-        return EXIT_ERROR
     rows = bench(board, request, max_len, _options(args))
     if args.format == "json":
         print(json.dumps({"rows": rows}, indent=2))
@@ -539,7 +514,7 @@ _COMMANDS = {
     "validate": _cmd_validate,
     "solve": _cmd_solve,
     "solve-all": _cmd_solve_all,
-    "solve-best": _cmd_solve_best,
+    "solve-best": _cmd_solve,
     "count": _cmd_count,
     "emit": _cmd_emit,
     "graph": _cmd_graph,
@@ -559,14 +534,12 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (
-        BoardParseError,
-        RequestParseError,
         EnumerationLimitError,
         EmitterCapError,
-        InstanceTooLargeError,
         OSError,
         ValueError,
         KeyError,
+        RecursionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -18,7 +18,9 @@ used pins, namely the smallest binding realizing that set.
 
 find_feasible binds slots greedily under a matching check, iter_assignments
 is a pruned depth-first search, and find_best is a single weighted bipartite
-assignment solve whose weights carry the lexicographic tie-break.
+assignment solve whose weights carry the lexicographic tie-break. All
+matching checks run one augmenting-path search (_match); when it fails, the
+infeasibility witness is read from the pins that failed search visited.
 """
 
 from __future__ import annotations
@@ -172,8 +174,15 @@ class _Problem:
         return Assignment(bindings, sum(self.costs[p] for p in chosen), self.board)
 
 
-def _matchable(problem: _Problem, kinds: tuple[str, ...], banned: set[int]) -> bool:
-    """True iff the given slots can be matched to distinct non-banned pins."""
+def _match(
+    problem: _Problem, kinds: tuple[str, ...], banned: set[int]
+) -> tuple[dict[int, int], int | None, set[int]]:
+    """Kuhn's augmenting-path matching of the given slots to non-banned pins.
+
+    Inserts slots in order, trying pins in declaration order. Stops at the
+    first slot it cannot insert and returns (pin -> slot matching, that slot
+    or None, the pins its failed search visited).
+    """
     match_pin: dict[int, int] = {}
 
     def augment(slot: int, visited: set[int]) -> bool:
@@ -187,50 +196,29 @@ def _matchable(problem: _Problem, kinds: tuple[str, ...], banned: set[int]) -> b
         return False
 
     for slot in range(len(kinds)):
-        if not augment(slot, set()):
-            return False
-    return True
+        visited: set[int] = set()
+        if not augment(slot, visited):
+            return match_pin, slot, visited
+    return match_pin, None, set()
 
 
-def _hall_witness(problem: _Problem) -> Witness:
-    """Extract a deficient kind set from a failed maximum matching.
+def _matchable(problem: _Problem, kinds: tuple[str, ...], banned: set[int]) -> bool:
+    """True iff the given slots can be matched to distinct non-banned pins."""
+    return _match(problem, kinds, banned)[1] is None
 
-    Starting from an unsaturated slot, alternating-path reachability yields a
-    slot set whose kinds collectively demand more pins than support them.
+
+def _hall_witness(
+    problem: _Problem, match_pin: dict[int, int], slot: int, visited: set[int]
+) -> Witness:
+    """Read a deficient kind set from a failed augmenting-path search.
+
+    The failed search from slot visited exactly the pins reachable from it by
+    alternating paths. All of them are matched, and every eligible pin of the
+    slot and of their owners lies among them, so those slots demand more pins
+    than support their kinds (Hall's condition fails on them).
     """
     kinds = problem.slots
-    match_pin: dict[int, int] = {}
-    match_slot: list[int | None] = [None] * len(kinds)
-
-    def augment(slot: int, visited: set[int]) -> bool:
-        for p in problem.elig[kinds[slot]]:
-            if p in visited:
-                continue
-            visited.add(p)
-            if p not in match_pin or augment(match_pin[p], visited):
-                match_pin[p] = slot
-                match_slot[slot] = p
-                return True
-        return False
-
-    for slot in range(len(kinds)):
-        augment(slot, set())
-    unmatched = next(s for s in range(len(kinds)) if match_slot[s] is None)
-
-    reach_slots = {unmatched}
-    reach_pins: set[int] = set()
-    frontier = [unmatched]
-    while frontier:
-        slot = frontier.pop()
-        for p in problem.elig[kinds[slot]]:
-            if p in reach_pins:
-                continue
-            reach_pins.add(p)
-            owner = match_pin.get(p)
-            if owner is not None and owner not in reach_slots:
-                reach_slots.add(owner)
-                frontier.append(owner)
-
+    reach_slots = {slot} | {match_pin[p] for p in visited}
     witness_kinds = tuple(sorted({kinds[s] for s in reach_slots}))
     support = sorted({p for k in witness_kinds for p in problem.elig[k]})
     demanded = sum(1 for k in kinds if k in witness_kinds)
@@ -287,8 +275,9 @@ def _prepare(
                 f"no pin offers an eligible {kind} entry",
                 witness,
             )
-    if not _matchable(problem, problem.slots, set()):
-        witness = _hall_witness(problem)
+    match_pin, failed, visited = _match(problem, problem.slots, set())
+    if failed is not None:
+        witness = _hall_witness(problem, match_pin, failed, visited)
         return problem, Infeasible(
             REASON_PIGEONHOLE,
             f"{witness.demanded} slots of kinds {{{', '.join(witness.kinds)}}} "
@@ -412,9 +401,12 @@ def enumerate_all(
 
     Empty list iff the request is infeasible. Raises EnumerationLimitError
     instead of materializing more than options.enumeration_cap solutions;
-    use iter_assignments to stream larger spaces.
+    use iter_assignments to stream larger spaces. Raises ValueError for a
+    negative cap.
     """
     options = options or SolveOptions()
+    if options.enumeration_cap < 0:
+        raise ValueError(f"enumeration cap must be >= 0, got {options.enumeration_cap}")
     out: list[Assignment] = []
     for assignment in iter_assignments(board, request, options):
         if len(out) >= options.enumeration_cap:

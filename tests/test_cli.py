@@ -1,15 +1,31 @@
 """CLI contract: exit codes, JSON shapes, determinism."""
 
+import io
 import json
 import math
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pinassign import parse_board, parse_request
+from pinassign import (
+    Board,
+    FunctionEntry,
+    Infeasible,
+    Pin,
+    SolveOptions,
+    find_feasible,
+    icu_channel_rule,
+    parse_board,
+    parse_request,
+    serialize_board,
+)
 from pinassign.cli import run
 
 from best_references import best_by_enumeration, best_by_threshold
-from conftest import DEMO_BOARD_PATH, TWO_PIN_TEXT
+from conftest import DEMO_BOARD_PATH, KIND_POOL, TWO_PIN_TEXT
 
 DEMO = str(DEMO_BOARD_PATH)
 
@@ -125,6 +141,15 @@ def test_solve_best_strategies_match(two_pin_file, capsys):
         expected = reference(board, request)
         assert [row["pin"] for row in doc["assignment"]] == [b.pin for b in expected.bindings]
         assert doc["cost"] == expected.total_cost
+
+
+def test_solve_and_solve_best_pick_their_solvers(capsys):
+    # the demo board's first CAN_TX pin costs 4, its cheapest one 2
+    costs = []
+    for command in ("solve", "solve-best"):
+        assert run([command, "--board", DEMO, "--request", "can-tx", "--format", "json"]) == 0
+        costs.append(_json_out(capsys)["cost"])
+    assert costs == [4, 2]
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
@@ -312,8 +337,9 @@ def test_bench_infeasible_row_shows_dashes(two_pin_file, capsys):
     assert line.split()[1:3] == ["0", "0"]
 
 
-def test_bench_max_len_bound(two_pin_file, capsys):
-    assert run(["bench", "--board", two_pin_file, "--request", "icu", "--max-len", "3"]) == 2
+@pytest.mark.parametrize("max_len", ["3", "0", "-1"])
+def test_bench_max_len_bound(two_pin_file, capsys, max_len):
+    assert run(["bench", "--board", two_pin_file, "--request", "icu", "--max-len", max_len]) == 2
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
@@ -346,3 +372,72 @@ def test_repeat_invocations_byte_identical(two_pin_file, capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_recursion_limit_is_an_error_not_a_verdict(tmp_path, capsys):
+    # pin P<j> offers K<j> and K<j+1>: augmenting paths grow as long as the
+    # request, deeper than the recursive matching can follow
+    n = 1200
+    path = tmp_path / "chain.pins"
+    path.write_text("".join(f"pin P{j} = K{j}, K{j + 1}\n" for j in range(n)), encoding="utf-8")
+    request = ",".join(f"K{j}" for j in range(n))
+    assert run(["solve", "--board", str(path), "--request", request]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines())
+    assert "Traceback" not in err
+
+
+_KINDS = st.sampled_from(KIND_POOL)
+
+
+@st.composite
+def _board_texts(draw):
+    pins = []
+    for i in range(draw(st.integers(0, 5))):
+        entries = draw(
+            st.lists(
+                st.tuples(_KINDS, st.sampled_from(["-", "D1", "TIM2_CH1", "TIM3_CH3"])),
+                min_size=1,
+                max_size=3,
+                unique=True,
+            )
+        )
+        pins.append(Pin(f"P{i}", tuple(FunctionEntry(k, d) for k, d in entries)))
+    return serialize_board(Board(tuple(pins)))
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+@settings(max_examples=150, deadline=None)
+@given(
+    board_text=_board_texts(),
+    command=st.sampled_from(["solve", "solve-best", "solve-all", "validate", "bench", "diff"]),
+    requests=st.lists(st.lists(_KINDS, max_size=5).map(",".join), min_size=2, max_size=2),
+    rule=st.booleans(),
+    number=st.integers(-2, 3),
+    fmt=st.sampled_from(["text", "json"]),
+)
+def test_exit_contract_property(board_text, command, requests, rule, number, fmt):
+    """Every run exits 0, 1 or 2 without a traceback; solve and solve-best
+    exit 1 exactly when the instance is infeasible."""
+    argv = [command, "--request", requests[0], "--format", fmt]
+    if command == "diff":
+        argv += ["--request", requests[1]]
+    elif command == "solve-all":
+        argv += ["--cap", str(number)]
+    elif command == "bench":
+        argv += ["--max-len", str(number)]
+    if rule and command != "validate":
+        argv += ["--rule", "icu-ch12"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "board.pins"
+        path.write_text(board_text, encoding="utf-8")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run([*argv, "--board", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if command in ("solve", "solve-best"):
+        options = SolveOptions(rules=(icu_channel_rule(),) if rule else ())
+        verdict = find_feasible(parse_board(board_text), parse_request(requests[0]), options)
+        assert (code == 1) == isinstance(verdict, Infeasible)

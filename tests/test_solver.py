@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -94,6 +95,14 @@ def test_enumeration_cap_refuses_large_output(two_pin_board):
     with pytest.warns(AllPinsUsedWarning):
         with pytest.raises(EnumerationLimitError):
             enumerate_all(two_pin_board, request, options)
+
+
+def test_negative_enumeration_cap_rejected_before_solving(two_pin_board):
+    options = SolveOptions(enumeration_cap=-5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # solving this request would warn AllPinsUsedWarning
+        with pytest.raises(ValueError, match="-5"):
+            enumerate_all(two_pin_board, parse_request("analog,analog"), options)
 
 
 def test_best_prefers_cheaper_icu_pin(two_pin_board):
