@@ -127,10 +127,8 @@ def extend_assignment(
     Infeasibility (with witness) is reported over the residual board. With an
     empty base this is exactly find_best on the full board.
     """
-    residual = Board(
-        tuple(pin for pin in board.pins if pin.id not in base.used_pins),
-        board.name,
-    )
+    used = base.used_pins
+    residual = Board(tuple(pin for pin in board.pins if pin.id not in used), board.name)
     outcome = find_best(residual, extra, options)
     if isinstance(outcome, Infeasible):
         return outcome

@@ -21,6 +21,14 @@ is a pruned depth-first search, and find_best is a single weighted bipartite
 assignment solve whose weights carry the lexicographic tie-break. All
 matching checks run one augmenting-path search (_match); when it fails, the
 infeasibility witness is read from the pins that failed search visited.
+
+The enumerator is a single loop over an explicit stack, so its own depth is
+not bounded by Python's recursion limit (the augmenting-path search in _match
+still recurses along each path). Streamed Assignments share their frozen
+Binding objects: each solve builds at most one Binding per (slot, pin), on
+first use. Labeled streaming holds the search state, O(request length), plus
+those shared Bindings; pin-set streaming also remembers every distinct pin
+set it has yielded.
 """
 
 from __future__ import annotations
@@ -144,6 +152,29 @@ class Infeasible:
 SolveOutcome = Assignment | Infeasible
 
 
+class _Bindings(dict):
+    """(slot, pin index) -> that slot's Binding on that pin, built on first lookup.
+
+    Streamed assignments share these frozen Bindings instead of building one
+    per solution. Only pairs some solution uses are ever built, and the cache
+    is one object per solve, so a one-shot solve pays for its own bindings
+    and nothing more.
+    """
+
+    __slots__ = ("slots", "pins", "detail")
+
+    def __init__(self, slots: tuple[str, ...], pins: tuple[Pin, ...], detail: dict):
+        self.slots = slots
+        self.pins = pins
+        self.detail = detail
+
+    def __missing__(self, key: tuple[int, int]) -> Binding:
+        slot, p = key
+        kind = self.slots[slot]
+        binding = self[key] = Binding(slot, kind, self.pins[p].id, self.detail[(p, kind)])
+        return binding
+
+
 class _Problem:
     """Preprocessed solve instance: canonical slots plus eligibility tables."""
 
@@ -165,13 +196,14 @@ class _Problem:
                     supporters.append(index)
                     self.detail[(index, kind)] = min(details)
             self.elig[kind] = tuple(supporters)
+        self.bindings = _Bindings(self.slots, board.pins, self.detail)
 
     def assignment(self, chosen: tuple[int, ...]) -> Assignment:
-        bindings = tuple(
-            Binding(i, kind, self.board.pins[p].id, self.detail[(p, kind)])
-            for i, (kind, p) in enumerate(zip(self.slots, chosen))
+        return Assignment(
+            tuple(map(self.bindings.__getitem__, enumerate(chosen))),
+            sum(map(self.costs.__getitem__, chosen)),
+            self.board,
         )
-        return Assignment(bindings, sum(self.costs[p] for p in chosen), self.board)
 
 
 def _match(
@@ -296,49 +328,68 @@ def _iter_bindings(problem: _Problem, distinct_sets: bool) -> Iterator[tuple[int
 
     Pruning: a per-kind remaining-supply check at every node, plus a residual
     matching (Hall) check whenever some kind's supply is exactly tight.
+
+    One loop with an explicit stack, so the depth is not bounded by Python's
+    recursion limit. The last slot's candidates are yielded straight from its
+    node.
     """
     slots = problem.slots
     length = len(slots)
     if length == 0:
         yield ()
         return
+    elig = problem.elig
+    last = length - 1
     need = Counter(slots)
-    avail = {kind: len(problem.elig[kind]) for kind in need}
+    avail = {kind: len(elig[kind]) for kind in need}
     pin_kinds: dict[int, list[str]] = {}
     for kind in need:
-        for p in problem.elig[kind]:
+        for p in elig[kind]:
             pin_kinds.setdefault(p, []).append(kind)
 
-    chosen: list[int] = []
+    chosen: list[int] = []  # pins of the slots above the current node
     used: set[int] = set()
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == length:
-            yield tuple(chosen)
-            return
-        if any(avail[k] < n for k, n in need.items() if n):
-            return
-        if any(n and avail[k] == n for k, n in need.items()):
-            if not _matchable(problem, slots[i:], used):
-                return
-        kind = slots[i]
-        floor = chosen[-1] if distinct_sets and i > 0 and slots[i - 1] == kind else -1
-        need[kind] -= 1
-        for p in problem.elig[kind]:
-            if p <= floor or p in used:
+    # One entry per open inner node, from the root down: its untried
+    # candidates and the pin its slot must exceed (-1 for none).
+    frames: list[tuple[Iterator[int], int]] = []
+    while True:
+        # Enter the node for slot i = len(chosen): prune it, or open it.
+        i = len(chosen)
+        if not any(avail[k] < n for k, n in need.items() if n) and (
+            not any(n and avail[k] == n for k, n in need.items())
+            or _matchable(problem, slots[i:], used)
+        ):
+            kind = slots[i]
+            floor = chosen[-1] if distinct_sets and i > 0 and slots[i - 1] == kind else -1
+            if i == last:
+                for p in elig[kind]:
+                    if p > floor and p not in used:
+                        yield (*chosen, p)
+            else:
+                need[kind] -= 1
+                frames.append((iter(elig[kind]), floor))
+        # Bind the deepest open node's next candidate, closing exhausted nodes.
+        while frames:
+            candidates, floor = frames[-1]
+            if len(chosen) == len(frames):
+                p = chosen.pop()
+                used.remove(p)
+                for k in pin_kinds[p]:
+                    avail[k] += 1
+            for p in candidates:
+                if p > floor and p not in used:
+                    break
+            else:
+                frames.pop()
+                need[slots[len(frames)]] += 1
                 continue
             used.add(p)
             chosen.append(p)
             for k in pin_kinds[p]:
                 avail[k] -= 1
-            yield from rec(i + 1)
-            for k in pin_kinds[p]:
-                avail[k] += 1
-            chosen.pop()
-            used.remove(p)
-        need[kind] += 1
-
-    yield from rec(0)
+            break
+        else:
+            return
 
 
 def _iter_representatives(problem: _Problem) -> Iterator[tuple[int, ...]]:

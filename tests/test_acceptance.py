@@ -138,6 +138,9 @@ def test_c4_oracle_equivalence_battery():
         if [plain_bindings(a) for a in labeled] != list(truth.labeled):
             mismatches.append(("labeled", board, request))
             continue
+        if [a.total_cost for a in labeled] != list(truth.costs):
+            mismatches.append(("labeled-costs", board, request))
+            continue
         best = find_best(board, request)
         references = [best_by_threshold(board, request), best_by_enumeration(board, request)]
         if truth.min_cost is None:

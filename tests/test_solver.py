@@ -27,6 +27,7 @@ from pinassign import (
     parse_board,
     parse_request,
 )
+from pinassign.cli import run
 from pinassign.solver import _lex_min_cost, _Problem
 from pinassign.oracle import brute_force_solve
 
@@ -362,3 +363,19 @@ def test_find_feasible_is_first_enumerated(two_pin_board):
             assert labeled == []
         else:
             assert outcome == labeled[0]
+
+
+def test_enumeration_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # one slot per kind, one pin per kind: a single solution, 1200 slots deep
+    n = 1200
+    text = "".join(f"pin P{i:04d} = K{i:04d}\n" for i in range(n + 1))
+    request_text = ",".join(f"K{i:04d}" for i in range(n))
+    board, request = parse_board(text), parse_request(request_text)
+    first = find_feasible(board, request)
+    assert isinstance(first, Assignment)
+    for options in (LABELED, SolveOptions()):
+        assert enumerate_all(board, request, options) == [first]
+    path = tmp_path / "deep.pins"
+    path.write_text(text, encoding="utf-8")
+    assert run(["solve-all", "--board", str(path), "--request", request_text]) == 0
+    assert capsys.readouterr().out.startswith("1 solutions (pinsets)")
