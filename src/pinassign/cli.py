@@ -18,8 +18,6 @@ from pathlib import Path
 
 from .board import Board, board_stats, parse_board
 from .codegen import (
-    DEFAULT_FACT_CAP,
-    EmitterCapError,
     emit_alloy_best_assertions,
     emit_alloy_feasibility_assertion,
     emit_alloy_spec,
@@ -107,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", metavar="FILE")
     p.add_argument("--request", metavar="LIST")
     p.add_argument("--max-len", type=int, metavar="N", help="prolog fact length bound")
-    p.add_argument("--cap", type=int, default=DEFAULT_FACT_CAP, help="fact-count cap")
     p.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
 
     p = sub.add_parser("graph", help="emit the domain graph in DOT form")
@@ -319,10 +316,10 @@ def _cmd_emit(args) -> int:
         max_len = args.max_len if args.max_len is not None else max(len(board), 1)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as sink:
-                output = emit_prolog(board, max_len, sink=sink, cap=args.cap)
+                output = emit_prolog(board, max_len, sink=sink)
             print(f"wrote {output.items} facts ({output.nbytes} bytes) to {args.out}")
         else:
-            output = emit_prolog(board, max_len, sink=sys.stdout, cap=args.cap)
+            output = emit_prolog(board, max_len, sink=sys.stdout)
         return EXIT_OK
 
     if args.target == "alloy-spec":
@@ -535,7 +532,6 @@ def run(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except (
         EnumerationLimitError,
-        EmitterCapError,
         OSError,
         ValueError,
         KeyError,

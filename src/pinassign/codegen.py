@@ -6,6 +6,10 @@ analyzers. Nothing here executes those tools; the native solver is the
 engine, and the emitted documents are checked structurally (balanced
 delimiters, terminated clauses) plus semantically via the test suite's
 fact readers.
+
+The Prolog fact base is the one large document. Its kind and pin atoms are
+built once per board, and each pin subset's facts are written in one call,
+so a streamed document holds at most one subset's block in memory.
 """
 
 from __future__ import annotations
@@ -134,18 +138,31 @@ def estimate_prolog_facts(board: Board, max_len: int) -> int:
     return sum(elementary[1:])
 
 
-def _iter_prolog_facts(board: Board, max_len: int) -> Iterator[str]:
+def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]:
+    """Yield each pin subset's fact lines as one block, with their count.
+
+    Subsets run by size, then in combinations order; a subset's multisets run
+    in sorted kind-name order. Atoms are built once per board, and kinds are
+    ranked by name so a multiset is a sorted tuple of ranks: rank order is
+    name order, which can differ from atom order ("_" becomes "-").
+    """
+    kinds = sorted({kind for pin in board.pins for kind in pin.kinds()})
+    rank = {kind: r for r, kind in enumerate(kinds)}
+    kind_atoms = [_prolog_atom(kind) for kind in kinds]
+    pin_atoms = [_pin_atom(pin.id) for pin in board.pins]
+    pin_ranks = [sorted({rank[kind] for kind in pin.kinds()}) for pin in board.pins]
+    costs = [pin.cost for pin in board.pins]
+    atom = kind_atoms.__getitem__
     indices = range(len(board.pins))
     for k in range(1, min(max_len, len(board)) + 1):
         for subset in itertools.combinations(indices, k):
-            pins = [board.pins[i] for i in subset]
-            cost = sum(p.cost for p in pins)
-            pin_list = ",".join(_pin_atom(p.id) for p in pins)
-            kind_lists = [sorted(set(p.kinds())) for p in pins]
-            multisets = {tuple(sorted(combo)) for combo in itertools.product(*kind_lists)}
-            for multiset in sorted(multisets):
-                kinds = ",".join(_prolog_atom(kind) for kind in multiset)
-                yield f"config([{kinds}],[[{pin_list}],{cost}])."
+            pins = ",".join(pin_atoms[i] for i in subset)
+            cost = sum(costs[i] for i in subset)
+            choices = [pin_ranks[i] for i in subset]
+            multisets = sorted({tuple(sorted(combo)) for combo in itertools.product(*choices)})
+            tail = f"],[[{pins}],{cost}]).\n"
+            block = "".join([f"config([{','.join(map(atom, m))}{tail}" for m in multisets])
+            yield block, len(multisets)
 
 
 def emit_prolog(
@@ -159,7 +176,9 @@ def emit_prolog(
     One fact per realizable (sorted kind multiset of length <= max_len,
     distinct pin set) pair, carrying the summed pin cost. Kind atoms are
     lowercased with underscores written as hyphens (quoted when needed);
-    pin atoms are lowercased.
+    pin atoms are lowercased. Atoms are built once per call, and each pin
+    subset's facts go out in one write, so memory beyond the per-board atom
+    tables is one subset's block.
 
     Without a sink the whole document is returned in text form, refused with
     EmitterCapError when the estimated fact count exceeds cap. With a sink
@@ -168,8 +187,10 @@ def emit_prolog(
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    if sink is None and estimate_prolog_facts(board, max_len) > cap:
-        raise EmitterCapError(estimate_prolog_facts(board, max_len), cap)
+    if sink is None:
+        estimate = estimate_prolog_facts(board, max_len)
+        if estimate > cap:
+            raise EmitterCapError(estimate, cap)
 
     chunks: list[str] = []
     nbytes = 0
@@ -186,9 +207,9 @@ def emit_prolog(
     write(f"% pin assignment fact base for {label}\n")
     write(f"% config(SortedKinds, [Pins, TotalCost]) up to length {max_len}\n\n")
     facts = 0
-    for fact in _iter_prolog_facts(board, max_len):
-        write(fact + "\n")
-        facts += 1
+    for block, count in _iter_prolog_blocks(board, max_len):
+        write(block)
+        facts += count
     write("\n")
     write(PROLOG_INFERENCE_RULES)
 

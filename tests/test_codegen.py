@@ -1,5 +1,6 @@
 """Emitters: golden lines, structural invariants, semantic fidelity."""
 
+import hashlib
 import io
 import random
 import re
@@ -126,13 +127,39 @@ def test_prolog_fact_minimum_agrees_with_find_best():
 
 
 def test_prolog_streaming_matches_materialized(two_pin_board):
-    materialized = emit_prolog(two_pin_board, 2)
+    # a board name is free text and reaches the header: nbytes counts UTF-8
+    # bytes, not characters ("ü" and "µ" take two bytes each)
+    named = Board(two_pin_board.pins, "Prüfstand µC")
+    for board in (two_pin_board, named):
+        materialized = emit_prolog(board, 2)
+        sink = io.StringIO()
+        streamed = emit_prolog(board, 2, sink=sink)
+        assert sink.getvalue() == materialized.text
+        assert streamed.text == ""
+        assert streamed.items == materialized.items
+        assert streamed.nbytes == materialized.nbytes
+        assert streamed.nbytes == len(sink.getvalue().encode("utf-8"))
+        assert materialized.nbytes == len(materialized.text.encode("utf-8"))
+    assert (streamed.nbytes, len(materialized.text)) == (993, 991)
+
+
+@pytest.mark.parametrize(
+    "max_len, facts, nbytes, sha256",
+    [
+        (3, 11_149, 572_126, "d2876d47c1709371f6c275325c62940ceac5d64470feeed9d7f541ed8f951454"),
+        (4, 91_184, 5_751_884, "fbaf319e73aef7eb17141b5fe28fab3913b340b8a3b5430a87f83b7716ee34fd"),
+    ],
+    ids=["3", "4"],
+)
+def test_prolog_demo_fact_base_golden(demo_board, max_len, facts, nbytes, sha256):
+    """The demo board's fact bases, byte for byte."""
     sink = io.StringIO()
-    streamed = emit_prolog(two_pin_board, 2, sink=sink)
-    assert sink.getvalue() == materialized.text
-    assert streamed.text == ""
-    assert streamed.items == materialized.items
-    assert streamed.nbytes == materialized.nbytes
+    output = emit_prolog(demo_board, max_len, sink=sink)
+    data = sink.getvalue().encode("utf-8")
+    assert (output.items, output.nbytes, len(data)) == (facts, nbytes, nbytes)
+    assert hashlib.sha256(data).hexdigest() == sha256
+    if max_len == 3:
+        assert emit_prolog(demo_board, max_len).text == sink.getvalue()
 
 
 def test_prolog_cap_refusal_reports_estimate(two_pin_board):

@@ -24,10 +24,12 @@ from pinassign import (
     find_best,
     find_feasible,
     icu_channel_rule,
+    iter_assignments,
     parse_board,
     parse_request,
 )
 from pinassign.cli import run
+from pinassign import solver
 from pinassign.solver import _lex_min_cost, _Problem
 from pinassign.oracle import brute_force_solve
 
@@ -379,3 +381,29 @@ def test_enumeration_deeper_than_the_recursion_limit(tmp_path, capsys):
     path.write_text(text, encoding="utf-8")
     assert run(["solve-all", "--board", str(path), "--request", request_text]) == 0
     assert capsys.readouterr().out.startswith("1 solutions (pinsets)")
+
+
+@pytest.mark.parametrize(
+    "options, solutions, calls",
+    [(SolveOptions(), 588, 73), (LABELED, 136_800, 8_760)],
+    ids=["pinsets", "labeled"],
+)
+def test_enumeration_pruning_call_counts(demo_board, monkeypatch, options, solutions, calls):
+    """The DFS's residual-matching prunes, counted on the demo board's
+    10-slot mixed request. The counts pin today's pruning exactly: a change
+    to the prunes (a weaker one is still sound, so no output changes) must
+    update them."""
+    matchable = solver._matchable
+    count = 0
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return matchable(*args)
+
+    monkeypatch.setattr(solver, "_matchable", counted)
+    request = parse_request(
+        "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
+    )
+    assert sum(1 for _ in iter_assignments(demo_board, request, options)) == solutions
+    assert count == calls
