@@ -25,6 +25,11 @@ from .request import Request
 DEFAULT_FACT_CAP = 5_000_000
 
 _PLAIN_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# _check_balanced: a quoted literal, the bytes that are not delimiters, and
+# each closing delimiter's opener.
+_QUOTED = r"'[^'\n]*'|\"[^\"\n]*\""
+_NOT_DELIMITERS = bytes(sorted(set(range(256)) - set(b"()[]{}")))
+_OPENER = dict(zip(b")]}", b"([{"))
 
 PROLOG_INFERENCE_RULES = """\
 getConfig(RequiredConfiguration, Pair) :-
@@ -84,45 +89,32 @@ class EmitterOutput:
 def _check_balanced(text: str, comment: str | None = None) -> None:
     """Emitter self-check: delimiters balance outside quoted literals.
 
-    Lines starting with the target's comment marker are skipped; they may
-    quote arbitrary board names.
+    A quoted literal runs from ' or " to the same character on the same
+    line. Lines starting with the target's comment marker (after blanks) are
+    skipped; they may quote arbitrary board names.
     """
-    pairs = {")": "(", "]": "[", "}": "{"}
-    stack: list[str] = []
-    for line in text.split("\n"):
-        if comment and line.lstrip().startswith(comment):
-            continue
-        quote: str | None = None
-        for ch in line:
-            if quote is not None:
-                if ch == quote:
-                    quote = None
-                continue
-            if ch in ("'", '"'):
-                quote = ch
-            elif ch in "([{":
-                stack.append(ch)
-            elif ch in ")]}":
-                if not stack or stack.pop() != pairs[ch]:
-                    raise AssertionError("emitted text has unbalanced delimiters")
-        if quote is not None:
-            raise AssertionError("emitted text has an unterminated quote")
+    # One regex pass drops the comment lines and quoted spans. The "\n" put
+    # in front lets a first-line comment match, and lets the regex engine
+    # skip ahead to the characters its alternatives start with.
+    hidden = rf"\n\s*{re.escape(comment)}.*|{_QUOTED}" if comment else _QUOTED
+    rest = re.sub(hidden, "", "\n" + text)
+    if "'" in rest or '"' in rest:
+        raise AssertionError("emitted text has an unterminated quote")
+    stack: list[int] = []
+    for ch in rest.encode("utf-8").translate(None, _NOT_DELIMITERS):
+        if ch not in _OPENER:
+            stack.append(ch)
+        elif not stack or stack.pop() != _OPENER[ch]:
+            raise AssertionError("emitted text has unbalanced delimiters")
     if stack:
         raise AssertionError("emitted text has unbalanced delimiters")
 
 
-def _prolog_atom(token: str) -> str:
-    atom = token.lower().replace("_", "-")
-    if _PLAIN_ATOM_RE.match(atom):
-        return atom
-    return f"'{atom}'"
-
-
-def _pin_atom(pin_id: str) -> str:
-    atom = pin_id.lower()
-    if _PLAIN_ATOM_RE.match(atom):
-        return atom
-    return f"'{atom}'"
+def _atom(text: str) -> str:
+    """A Prolog atom for lowercase text, quoted unless it is a plain name."""
+    if _PLAIN_ATOM_RE.match(text):
+        return text
+    return f"'{text}'"
 
 
 def estimate_prolog_facts(board: Board, max_len: int) -> int:
@@ -142,14 +134,18 @@ def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]
     """Yield each pin subset's fact lines as one block, with their count.
 
     Subsets run by size, then in combinations order; a subset's multisets run
-    in sorted kind-name order. Atoms are built once per board, and kinds are
-    ranked by name so a multiset is a sorted tuple of ranks: rank order is
-    name order, which can differ from atom order ("_" becomes "-").
+    in sorted atom order. Atoms are built once per board, and kinds are
+    ranked by atom text, so a multiset is a sorted tuple of ranks whose atoms
+    are already in the order msort gives a query: the standard order of
+    terms compares atoms by character codes, and since "_" (95) is written
+    as "-" (45), kind-name order can differ (CAN_TX > CANX, but
+    'can-tx' @< canx).
     """
-    kinds = sorted({kind for pin in board.pins for kind in pin.kinds()})
+    texts = {kind: kind.lower().replace("_", "-") for pin in board.pins for kind in pin.kinds()}
+    kinds = sorted(texts, key=texts.__getitem__)
     rank = {kind: r for r, kind in enumerate(kinds)}
-    kind_atoms = [_prolog_atom(kind) for kind in kinds]
-    pin_atoms = [_pin_atom(pin.id) for pin in board.pins]
+    kind_atoms = [_atom(texts[kind]) for kind in kinds]
+    pin_atoms = [_atom(pin.id.lower()) for pin in board.pins]
     pin_ranks = [sorted({rank[kind] for kind in pin.kinds()}) for pin in board.pins]
     costs = [pin.cost for pin in board.pins]
     atom = kind_atoms.__getitem__

@@ -16,26 +16,27 @@ slot-to-pin map (two slots of the same kind with swapped pins are two
 solutions). UNIQUE_PIN_SETS counts one representative per distinct set of
 used pins, namely the smallest binding realizing that set.
 
-find_feasible binds slots greedily under a matching check, iter_assignments
-is a pruned depth-first search, and find_best is a single weighted bipartite
-assignment solve whose weights carry the lexicographic tie-break. All
-matching checks run one augmenting-path search (_match); when it fails, the
-infeasibility witness is read from the pins that failed search visited.
+iter_assignments is a depth-first search over one kept matching of all
+slots: _prepare builds it, and a bind that takes a pin another slot holds
+either repairs it with one augmenting path (_augment, the only
+augmenting-path routine) or skips that pin. A labeled search therefore opens
+no node without a solution below it, and find_feasible is its first
+solution. When the initial matching fails, the infeasibility witness is read
+from the pins that failed search visited. find_best is a single weighted
+bipartite assignment solve whose weights carry the lexicographic tie-break.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
-not bounded by Python's recursion limit (the augmenting-path search in _match
-still recurses along each path). Streamed Assignments share their frozen
-Binding objects: each solve builds at most one Binding per (slot, pin), on
-first use. Labeled streaming holds the search state, O(request length), plus
-those shared Bindings; pin-set streaming also remembers every distinct pin
-set it has yielded.
+not bounded by Python's recursion limit (_augment still recurses along each
+path). Streamed Assignments share their frozen Binding objects: each solve
+builds at most one Binding per (slot, pin), on first use. Labeled streaming
+holds the search state, O(request length), plus those shared Bindings;
+pin-set streaming also remembers every distinct pin set it has yielded.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -206,58 +207,34 @@ class _Problem:
         )
 
 
-def _match(
-    problem: _Problem, kinds: tuple[str, ...], banned: set[int]
-) -> tuple[dict[int, int], int | None, set[int]]:
-    """Kuhn's augmenting-path matching of the given slots to non-banned pins.
+def _augment(
+    problem: _Problem, slot: int, owner: dict[int, int], banned: set[int], visited: set[int]
+) -> bool:
+    """Kuhn's augmenting path: find slot a pin, moving other slots along the way.
 
-    Inserts slots in order, trying pins in declaration order. Stops at the
-    first slot it cannot insert and returns (pin -> slot matching, that slot
-    or None, the pins its failed search visited).
+    owner maps each matched pin to its slot. Pins are tried in declaration
+    order, skipping banned and already visited ones; on success the path is
+    flipped in owner, and on failure owner is unchanged and visited holds
+    every pin reachable from slot by alternating paths.
     """
-    match_pin: dict[int, int] = {}
-
-    def augment(slot: int, visited: set[int]) -> bool:
-        for p in problem.elig[kinds[slot]]:
-            if p in banned or p in visited:
-                continue
-            visited.add(p)
-            if p not in match_pin or augment(match_pin[p], visited):
-                match_pin[p] = slot
-                return True
-        return False
-
-    for slot in range(len(kinds)):
-        visited: set[int] = set()
-        if not augment(slot, visited):
-            return match_pin, slot, visited
-    return match_pin, None, set()
+    for p in problem.elig[problem.slots[slot]]:
+        if p in banned or p in visited:
+            continue
+        visited.add(p)
+        if p not in owner or _augment(problem, owner[p], owner, banned, visited):
+            owner[p] = slot
+            return True
+    return False
 
 
-def _matchable(problem: _Problem, kinds: tuple[str, ...], banned: set[int]) -> bool:
-    """True iff the given slots can be matched to distinct non-banned pins."""
-    return _match(problem, kinds, banned)[1] is None
-
-
-def _hall_witness(
-    problem: _Problem, match_pin: dict[int, int], slot: int, visited: set[int]
-) -> Witness:
-    """Read a deficient kind set from a failed augmenting-path search.
-
-    The failed search from slot visited exactly the pins reachable from it by
-    alternating paths. All of them are matched, and every eligible pin of the
-    slot and of their owners lies among them, so those slots demand more pins
-    than support their kinds (Hall's condition fails on them).
-    """
-    kinds = problem.slots
-    reach_slots = {slot} | {match_pin[p] for p in visited}
-    witness_kinds = tuple(sorted({kinds[s] for s in reach_slots}))
-    support = sorted({p for k in witness_kinds for p in problem.elig[k]})
-    demanded = sum(1 for k in kinds if k in witness_kinds)
+def _witness(problem: _Problem, kinds: tuple[str, ...]) -> Witness:
+    """The given kinds with every pin eligible for one and their total demand."""
+    wanted = set(kinds)
+    support = sorted({p for k in wanted for p in problem.elig[k]})
     return Witness(
-        witness_kinds,
+        kinds,
         tuple(problem.board.pins[p].id for p in support),
-        demanded,
+        sum(1 for k in problem.slots if k in wanted),
     )
 
 
@@ -274,22 +251,22 @@ def check_witness(
     those kinds than there are such pins.
     """
     problem = _Problem(board, request, rules)
-    for kind in witness.kinds:
-        if kind not in problem.elig:
-            return False
-    support = sorted({p for k in witness.kinds for p in problem.elig[k]})
-    support_ids = tuple(board.pins[p].id for p in support)
-    demanded = sum(1 for k in request.canonical if k in set(witness.kinds))
-    return (
-        support_ids == witness.pins
-        and demanded == witness.demanded
-        and demanded > len(witness.pins)
-    )
+    if not set(witness.kinds) <= problem.elig.keys():
+        return False
+    return witness == _witness(problem, witness.kinds) and witness.demanded > len(witness.pins)
 
 
 def _prepare(
     board: Board, request: Request, options: SolveOptions
-) -> tuple[_Problem, Infeasible | None]:
+) -> tuple[_Problem, dict[int, int]] | Infeasible:
+    """Build the instance and one matching of all its slots (pin -> slot).
+
+    Slots are inserted in order by _augment. When one cannot be, its failed
+    search visited exactly the pins reachable from it by alternating paths,
+    all matched, and every eligible pin of it and of their owners lies among
+    them: those slots' kinds demand more pins than support them (Hall's
+    condition fails), which is the witness.
+    """
     if 0 < request.length == len(board):
         warnings.warn(
             "request length equals the board's pin count; "
@@ -298,36 +275,46 @@ def _prepare(
             stacklevel=3,
         )
     problem = _Problem(board, request, options.rules)
-    counts = Counter(problem.slots)
-    for kind in sorted(counts):
-        if not problem.elig[kind]:
-            witness = Witness((kind,), (), counts[kind])
-            return problem, Infeasible(
+    for kind, supporters in problem.elig.items():
+        if not supporters:
+            return Infeasible(
                 REASON_KIND_UNSUPPORTED,
                 f"no pin offers an eligible {kind} entry",
+                _witness(problem, (kind,)),
+            )
+    owner: dict[int, int] = {}
+    for slot in range(len(problem.slots)):
+        visited: set[int] = set()
+        if not _augment(problem, slot, owner, set(), visited):
+            reached = {slot} | {owner[p] for p in visited}
+            witness = _witness(problem, tuple(sorted({problem.slots[s] for s in reached})))
+            return Infeasible(
+                REASON_PIGEONHOLE,
+                f"{witness.demanded} slots of kinds {{{', '.join(witness.kinds)}}} "
+                f"compete for {len(witness.pins)} eligible pins",
                 witness,
             )
-    match_pin, failed, visited = _match(problem, problem.slots, set())
-    if failed is not None:
-        witness = _hall_witness(problem, match_pin, failed, visited)
-        return problem, Infeasible(
-            REASON_PIGEONHOLE,
-            f"{witness.demanded} slots of kinds {{{', '.join(witness.kinds)}}} "
-            f"compete for {len(witness.pins)} eligible pins",
-            witness,
-        )
-    return problem, None
+    return problem, owner
 
 
-def _iter_bindings(problem: _Problem, distinct_sets: bool) -> Iterator[tuple[int, ...]]:
+def _iter_bindings(
+    problem: _Problem, owner: dict[int, int], distinct_sets: bool
+) -> Iterator[tuple[int, ...]]:
     """Depth-first enumeration of valid pin-index tuples in lexicographic order.
+
+    owner is a matching of all slots (pin -> slot), as _prepare builds it.
+    The search keeps it a matching whose bound slots sit on their chosen
+    pins: binding slot i to pin p frees i's pin, and if an unbound slot j
+    held p, one _augment from j either moves j elsewhere or proves that no
+    solution uses p for slot i, which is then skipped with owner unchanged.
+    Unbinding leaves i on p, still a matching. So every opened node has a
+    solution below it in labeled mode, and the first tuple yielded is the
+    lexicographically smallest solution.
 
     With distinct_sets, runs of equal-kind slots are forced onto strictly
     increasing pin indices, so each (kind -> pin set) split appears once, in
-    its smallest arrangement.
-
-    Pruning: a per-kind remaining-supply check at every node, plus a residual
-    matching (Hall) check whenever some kind's supply is exactly tight.
+    its smallest arrangement. That floor is not part of the matching, so a
+    node may then have nothing below it.
 
     One loop with an explicit stack, so the depth is not bounded by Python's
     recursion limit. The last slot's candidates are yielded straight from its
@@ -340,62 +327,63 @@ def _iter_bindings(problem: _Problem, distinct_sets: bool) -> Iterator[tuple[int
         return
     elig = problem.elig
     last = length - 1
-    need = Counter(slots)
-    avail = {kind: len(elig[kind]) for kind in need}
-    pin_kinds: dict[int, list[str]] = {}
-    for kind in need:
-        for p in elig[kind]:
-            pin_kinds.setdefault(p, []).append(kind)
-
     chosen: list[int] = []  # pins of the slots above the current node
     used: set[int] = set()
     # One entry per open inner node, from the root down: its untried
     # candidates and the pin its slot must exceed (-1 for none).
     frames: list[tuple[Iterator[int], int]] = []
     while True:
-        # Enter the node for slot i = len(chosen): prune it, or open it.
+        # Enter the node for slot i = len(chosen).
         i = len(chosen)
-        if not any(avail[k] < n for k, n in need.items() if n) and (
-            not any(n and avail[k] == n for k, n in need.items())
-            or _matchable(problem, slots[i:], used)
-        ):
-            kind = slots[i]
-            floor = chosen[-1] if distinct_sets and i > 0 and slots[i - 1] == kind else -1
-            if i == last:
-                for p in elig[kind]:
-                    if p > floor and p not in used:
-                        yield (*chosen, p)
-            else:
-                need[kind] -= 1
-                frames.append((iter(elig[kind]), floor))
+        kind = slots[i]
+        floor = chosen[-1] if distinct_sets and i > 0 and slots[i - 1] == kind else -1
+        if i == last:
+            for p in elig[kind]:
+                if p > floor and p not in used:
+                    yield (*chosen, p)
+        else:
+            frames.append((iter(elig[kind]), floor))
+            mine = next(p for p in elig[kind] if owner.get(p) == i)  # i's pin in owner
         # Bind the deepest open node's next candidate, closing exhausted nodes.
         while frames:
             candidates, floor = frames[-1]
-            if len(chosen) == len(frames):
-                p = chosen.pop()
-                used.remove(p)
-                for k in pin_kinds[p]:
-                    avail[k] += 1
+            i = len(frames) - 1
+            if len(chosen) > i:
+                mine = chosen.pop()
+                used.remove(mine)
             for p in candidates:
-                if p > floor and p not in used:
+                if p <= floor or p in used:
+                    continue
+                held = owner.get(p)
+                if held == i:
                     break
+                owner[p] = i
+                del owner[mine]
+                if held is None:
+                    break
+                # Find the displaced slot another pin, or undo and skip p.
+                used.add(p)
+                if _augment(problem, held, owner, used, set()):
+                    break
+                used.remove(p)
+                owner[p] = held
+                owner[mine] = i
             else:
                 frames.pop()
-                need[slots[len(frames)]] += 1
                 continue
             used.add(p)
             chosen.append(p)
-            for k in pin_kinds[p]:
-                avail[k] -= 1
             break
         else:
             return
 
 
-def _iter_representatives(problem: _Problem) -> Iterator[tuple[int, ...]]:
+def _iter_representatives(
+    problem: _Problem, owner: dict[int, int]
+) -> Iterator[tuple[int, ...]]:
     """Smallest binding per distinct used-pin set, in lexicographic order."""
     seen: set[frozenset[int]] = set()
-    for chosen in _iter_bindings(problem, distinct_sets=True):
+    for chosen in _iter_bindings(problem, owner, distinct_sets=True):
         key = frozenset(chosen)
         if key not in seen:
             seen.add(key)
@@ -407,26 +395,17 @@ def find_feasible(
 ) -> SolveOutcome:
     """Return the lexicographically smallest valid assignment, or Infeasible.
 
-    Deterministic: slot order is the canonical request order and pins are
-    tried in declaration order, so reruns and slot permutations of the same
-    request give the same answer.
+    It is the first solution of the labeled enumeration. Deterministic: slot
+    order is the canonical request order and pins are tried in declaration
+    order, so reruns and slot permutations of the same request give the same
+    answer.
     """
     options = options or SolveOptions()
-    problem, infeasible = _prepare(board, request, options)
-    if infeasible is not None:
-        return infeasible
-    slots = problem.slots
-    chosen: list[int] = []
-    used: set[int] = set()
-    for i, kind in enumerate(slots):
-        for p in problem.elig[kind]:
-            if p in used:
-                continue
-            if _matchable(problem, slots[i + 1 :], used | {p}):
-                chosen.append(p)
-                used.add(p)
-                break
-    return problem.assignment(tuple(chosen))
+    prepared = _prepare(board, request, options)
+    if isinstance(prepared, Infeasible):
+        return prepared
+    problem, owner = prepared
+    return problem.assignment(next(_iter_bindings(problem, owner, distinct_sets=False)))
 
 
 def iter_assignments(
@@ -434,13 +413,14 @@ def iter_assignments(
 ) -> Iterator[Assignment]:
     """Stream all solutions under the chosen semantics, lexicographically."""
     options = options or SolveOptions()
-    problem, infeasible = _prepare(board, request, options)
-    if infeasible is not None:
+    prepared = _prepare(board, request, options)
+    if isinstance(prepared, Infeasible):
         return
+    problem, owner = prepared
     if options.semantics is Semantics.LABELED:
-        source = _iter_bindings(problem, distinct_sets=False)
+        source = _iter_bindings(problem, owner, distinct_sets=False)
     else:
-        source = _iter_representatives(problem)
+        source = _iter_representatives(problem, owner)
     for chosen in source:
         yield problem.assignment(chosen)
 
@@ -538,9 +518,10 @@ def find_best(
     the lexicographic tie-break.
     """
     options = options or SolveOptions()
-    problem, infeasible = _prepare(board, request, options)
-    if infeasible is not None:
-        return infeasible
+    prepared = _prepare(board, request, options)
+    if isinstance(prepared, Infeasible):
+        return prepared
+    problem = prepared[0]
     return problem.assignment(_lex_min_cost(problem))
 
 

@@ -392,7 +392,7 @@ _KINDS = st.sampled_from(KIND_POOL)
 
 
 @st.composite
-def _board_texts(draw):
+def _boards(draw):
     pins = []
     for i in range(draw(st.integers(0, 5))):
         entries = draw(
@@ -404,40 +404,91 @@ def _board_texts(draw):
             )
         )
         pins.append(Pin(f"P{i}", tuple(FunctionEntry(k, d) for k, d in entries)))
-    return serialize_board(Board(tuple(pins)))
+    name = draw(st.sampled_from([None, "demo", "Prüfstand µC"]))
+    return Board(tuple(pins), name)
+
+
+_NUMBERS = st.integers(-2, 3)
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=250, deadline=None)
 @given(
-    board_text=_board_texts(),
-    command=st.sampled_from(["solve", "solve-best", "solve-all", "validate", "bench", "diff"]),
+    board=_boards(),
+    command=st.sampled_from(
+        ["solve", "solve-best", "solve-all", "validate", "bench", "diff"]
+        + ["emit", "graph", "count", "merge"]
+    ),
     requests=st.lists(st.lists(_KINDS, max_size=5).map(",".join), min_size=2, max_size=2),
     rule=st.booleans(),
-    number=st.integers(-2, 3),
+    number=_NUMBERS,
     fmt=st.sampled_from(["text", "json"]),
+    data=st.data(),
 )
-def test_exit_contract_property(board_text, command, requests, rule, number, fmt):
+def test_exit_contract_property(board, command, requests, rule, number, fmt, data):
     """Every run exits 0, 1 or 2 without a traceback; solve and solve-best
     exit 1 exactly when the instance is infeasible."""
-    argv = [command, "--request", requests[0], "--format", fmt]
-    if command == "diff":
-        argv += ["--request", requests[1]]
-    elif command == "solve-all":
-        argv += ["--cap", str(number)]
-    elif command == "bench":
-        argv += ["--max-len", str(number)]
-    if rule and command != "validate":
-        argv += ["--rule", "icu-ch12"]
+    with_board = True
+    if command == "emit":
+        targets = st.sampled_from(["prolog", "alloy-spec", "alloy-assert", "alloy-best"])
+        argv = [command, "--target", data.draw(targets), "--max-len", str(number)]
+        if data.draw(st.booleans(), label="with --request"):
+            argv += ["--request", requests[0]]
+        with_board = data.draw(st.booleans(), label="with --board")
+    elif command == "graph":
+        argv = [command]
+    elif command == "count":
+        # board mode, formula mode, both, or neither (an error)
+        argv = [command, "--format", fmt]
+        for flag in ("--pins", "--functions", "--max-len"):
+            if data.draw(st.booleans(), label=f"with {flag}"):
+                argv += [flag, str(data.draw(_NUMBERS, label=flag))]
+        with_board = data.draw(st.booleans(), label="with --board")
+    elif command == "merge":
+        with_board = False
+        argv = [command, "--format", fmt, "--request", requests[0], "--request", requests[1]]
+    else:
+        argv = [command, "--request", requests[0], "--format", fmt]
+        if command == "diff":
+            argv += ["--request", requests[1]]
+        elif command == "solve-all":
+            argv += ["--cap", str(number)]
+        elif command == "bench":
+            argv += ["--max-len", str(number)]
+        if rule and command != "validate":
+            argv += ["--rule", "icu-ch12"]
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "board.pins"
-        path.write_text(board_text, encoding="utf-8")
+        path.write_text(serialize_board(board), encoding="utf-8")
+        if with_board:
+            argv += ["--board", str(path)]
         with redirect_stdout(out), redirect_stderr(err):
-            code = run([*argv, "--board", str(path)])
+            code = run(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if command in ("solve", "solve-best"):
         options = SolveOptions(rules=(icu_channel_rule(),) if rule else ())
-        verdict = find_feasible(parse_board(board_text), parse_request(requests[0]), options)
+        verdict = find_feasible(board, parse_request(requests[0]), options)
         assert (code == 1) == isinstance(verdict, Infeasible)
+
+
+@settings(max_examples=60, deadline=None)
+@given(board=_boards())
+def test_serialized_board_round_trips_through_validate(board):
+    """serialize_board's text parses back to the same board, and validate
+    reports that board's name, size and kinds."""
+    text = serialize_board(board)
+    assert parse_board(text) == board
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "board.pins"
+        path.write_text(text, encoding="utf-8")
+        with redirect_stdout(out):
+            assert run(["validate", "--board", str(path), "--format", "json"]) == 0
+    assert json.loads(out.getvalue()) == {
+        "board": board.name,
+        "pins": len(board.pins),
+        "max_entries_per_pin": max((pin.cost for pin in board.pins), default=0),
+        "kinds": sorted({kind for pin in board.pins for kind in pin.kinds()}),
+    }

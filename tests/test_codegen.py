@@ -24,6 +24,7 @@ from pinassign import (
     parse_board,
     parse_request,
 )
+from pinassign.codegen import _check_balanced
 from pinassign.oracle import realization_count
 
 from conftest import random_board
@@ -160,6 +161,20 @@ def test_prolog_demo_fact_base_golden(demo_board, max_len, facts, nbytes, sha256
     assert hashlib.sha256(data).hexdigest() == sha256
     if max_len == 3:
         assert emit_prolog(demo_board, max_len).text == sink.getvalue()
+
+
+def test_prolog_facts_list_kinds_in_atom_order():
+    """getConfig msorts the query, and the standard order compares atoms by
+    character codes: 'can-tx' @< canx, since "-" (45) < "x" (120), although
+    CAN_TX sorts after CANX by name ("_" is 95)."""
+    board = parse_board("pin P1 = CAN_TX\npin P2 = CANX\n")
+    output = emit_prolog(board, 2)
+    assert "config(['can-tx',canx],[[p1,p2],2])." in output.text.splitlines()
+    facts = _read_facts(output.text)
+    assert (("CAN_TX", "CANX"), ("p1", "p2"), 2) in facts
+    for kinds, _, _ in facts:
+        atoms = [kind.lower().replace("_", "-") for kind in kinds]
+        assert atoms == sorted(atoms)
 
 
 def test_prolog_cap_refusal_reports_estimate(two_pin_board):
@@ -316,3 +331,51 @@ def test_dot_counts_formula_on_random_boards():
 def test_dot_labels_list_entries(two_pin_board):
     text = emit_graph_dot(two_pin_board).text
     assert 'label="PA1\\nANALOG/ADC1_IN1\\nICU/TIM2_CH2\\nICU/TIM5_CH2"' in text
+
+
+# --- self-check
+
+
+@pytest.mark.parametrize(
+    "text, comment",
+    [
+        ("a) b\n", None),  # stray closer
+        ("f(a]\n", None),  # mismatched pair
+        ("{ (x)\n", None),  # unclosed opener
+        ("g('a(b)\n", None),  # unterminated quote
+        ('x "a\n" y\n', None),  # a quote never spans lines
+        ("% fine (\n[x\n", "%"),  # a comment hides nothing after it
+        ("  // (\n)\n", "//"),
+        ("% (\n", None),  # without a marker no line is a comment
+    ],
+    ids=[
+        "stray",
+        "mismatched",
+        "unclosed",
+        "quote",
+        "quote-newline",
+        "open-after",
+        "close-after",
+        "no-marker",
+    ],
+)
+def test_check_balanced_rejects(text, comment):
+    with pytest.raises(AssertionError):
+        _check_balanced(text, comment)
+
+
+@pytest.mark.parametrize(
+    "text, comment",
+    [
+        ("f(a, [b, {c}]).\n", None),
+        ("atom('(]', \"}\").\n", None),  # delimiters inside quotes are text
+        ("x(\"it's\")\n", None),  # the other quote character is text too
+        ("% board 'µC ( [\n  %' ]\nok(1).\n", "%"),  # comment lines are skipped
+        ("// sig ( \"\n  //'\nsig {}\n", "//"),
+        ("a % not a comment ()\n", "%"),  # only a leading marker starts one
+        ("", None),
+    ],
+    ids=["nested", "quoted", "other-quote", "prolog-comment", "alloy-comment", "inline", "empty"],
+)
+def test_check_balanced_accepts(text, comment):
+    _check_balanced(text, comment)

@@ -340,9 +340,19 @@ def test_every_infeasible_witness_validates():
 def test_check_witness_rejects_bogus_witness(two_pin_board):
     from pinassign import Witness
 
-    request = parse_request("analog,analog,analog")
-    bogus = Witness(("ANALOG",), ("PA1",), 3)  # support set is wrong
-    assert not check_witness(two_pin_board, request, bogus)
+    request = parse_request("analog,analog,analog,serial-tx")
+    for valid in (
+        Witness(("ANALOG",), ("PA1", "PA2"), 3),
+        Witness(("ANALOG", "SERIAL_TX"), ("PA1", "PA2"), 4),
+    ):
+        assert check_witness(two_pin_board, request, valid)
+    for bogus in (
+        Witness(("ANALOG",), ("PA1",), 3),  # support set is wrong
+        Witness(("ANALOG",), ("PA1", "PA2"), 4),  # demand is wrong
+        Witness(("SERIAL_TX",), ("PA2",), 1),  # not deficient
+        Witness(("ANALOG", "ICU"), ("PA1", "PA2"), 3),  # ICU is not requested
+    ):
+        assert not check_witness(two_pin_board, request, bogus)
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
@@ -383,27 +393,55 @@ def test_enumeration_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("1 solutions (pinsets)")
 
 
+def _count_augments(monkeypatch) -> list[int]:
+    """Count solver._augment calls, recursive ones included (they go through
+    the module name); the one-item list holds the running count."""
+    augment = solver._augment
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return augment(*args)
+
+    monkeypatch.setattr(solver, "_augment", counted)
+    return count
+
+
 @pytest.mark.parametrize(
     "options, solutions, calls",
-    [(SolveOptions(), 588, 73), (LABELED, 136_800, 8_760)],
+    [(SolveOptions(), 588, 175), (LABELED, 136_800, 9_334)],
     ids=["pinsets", "labeled"],
 )
 def test_enumeration_pruning_call_counts(demo_board, monkeypatch, options, solutions, calls):
-    """The DFS's residual-matching prunes, counted on the demo board's
-    10-slot mixed request. The counts pin today's pruning exactly: a change
-    to the prunes (a weaker one is still sound, so no output changes) must
-    update them."""
-    matchable = solver._matchable
-    count = 0
-
-    def counted(*args):
-        nonlocal count
-        count += 1
-        return matchable(*args)
-
-    monkeypatch.setattr(solver, "_matchable", counted)
+    """The kept matching's repairs, counted on the demo board's 10-slot mixed
+    request, _prepare's matching included. The counts pin today's pruning
+    exactly: a change to the prunes (a weaker one is still sound, so no output
+    changes) must update them."""
+    count = _count_augments(monkeypatch)
     request = parse_request(
         "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
     )
     assert sum(1 for _ in iter_assignments(demo_board, request, options)) == solutions
-    assert count == calls
+    assert count[0] == calls
+
+
+def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
+    """ICU, PWM and SERIAL_TX each have four pins, but once the ANALOG slots
+    take P0 and P1 the three kinds share two. No single kind is short, so only
+    a matching sees it; a search without that prune walks every placement of
+    the ANALOG slots on the Q pins (seconds, doubling with each Q pin)."""
+    text = (
+        "pin P0 = ANALOG, ICU, PWM, SERIAL_TX\n"
+        "pin P1 = ANALOG, ICU, PWM, SERIAL_TX\n"
+        "pin P2 = ICU, PWM, SERIAL_TX\n"
+        "pin P3 = ICU, PWM, SERIAL_TX\n"
+    ) + "".join(f"pin Q{i} = ANALOG\n" for i in range(11))
+    board = parse_board(text)
+    request = parse_request(",".join(["analog"] * 7 + ["icu", "pwm", "serial-tx"]))
+    count = _count_augments(monkeypatch)
+    first = next(iter_assignments(board, request, LABELED))
+    assert count[0] == 102
+    assert [b.pin for b in first.bindings] == [
+        "P0", "Q0", "Q1", "Q2", "Q3", "Q4", "Q5", "P1", "P2", "P3",
+    ]
+    assert first == find_feasible(board, request)
