@@ -27,10 +27,13 @@ bipartite assignment solve whose weights carry the lexicographic tie-break.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
-path). Streamed Assignments share their frozen Binding objects: each solve
-builds at most one Binding per (slot, pin), on first use. Labeled streaming
-holds the search state, O(request length), plus those shared Bindings;
-pin-set streaming also remembers every distinct pin set it has yielded.
+path). It yields Assignments built incrementally: beside the chosen pins it
+keeps the bound slots' Bindings and their running cost, so each solution
+costs one Binding lookup, one addition and one Assignment. Streamed
+Assignments share their frozen Binding objects: each solve builds at most one
+Binding per (slot, pin), on first use. Labeled streaming holds the search
+state, O(request length), plus those shared Bindings; pin-set streaming also
+remembers every distinct pin set it has yielded.
 """
 
 from __future__ import annotations
@@ -183,20 +186,27 @@ class _Problem:
         self.board = board
         self.slots = request.canonical
         self.costs = [pin.cost for pin in board.pins]
-        self.elig: dict[str, tuple[int, ...]] = {}
+        # One pass over the pins: each (pin, kind) keeps its smallest eligible
+        # detail, and a pin joins its kind's supporters on its first one.
+        supporters: dict[str, list[int]] = {kind: [] for kind in sorted(set(self.slots))}
         self.detail: dict[tuple[int, str], str] = {}
-        for kind in sorted(set(self.slots)):
-            supporters = []
-            for index, pin in enumerate(board.pins):
-                details = [
-                    e.detail
-                    for e in pin.entries
-                    if e.kind == kind and all(r.predicate(pin, e, kind) for r in rules)
-                ]
-                if details:
-                    supporters.append(index)
-                    self.detail[(index, kind)] = min(details)
-            self.elig[kind] = tuple(supporters)
+        for index, pin in enumerate(board.pins):
+            for e in pin.entries:
+                kind = e.kind
+                if kind not in supporters:
+                    continue
+                if rules and not all(r.predicate(pin, e, kind) for r in rules):
+                    continue
+                key = (index, kind)
+                best = self.detail.get(key)
+                if best is None:
+                    supporters[kind].append(index)
+                    self.detail[key] = e.detail
+                elif e.detail < best:
+                    self.detail[key] = e.detail
+        self.elig: dict[str, tuple[int, ...]] = {
+            kind: tuple(pins) for kind, pins in supporters.items()
+        }
         self.bindings = _Bindings(self.slots, board.pins, self.detail)
 
     def assignment(self, chosen: tuple[int, ...]) -> Assignment:
@@ -299,8 +309,8 @@ def _prepare(
 
 def _iter_bindings(
     problem: _Problem, owner: dict[int, int], distinct_sets: bool
-) -> Iterator[tuple[int, ...]]:
-    """Depth-first enumeration of valid pin-index tuples in lexicographic order.
+) -> Iterator[Assignment]:
+    """Depth-first enumeration of valid assignments in lexicographic order.
 
     owner is a matching of all slots (pin -> slot), as _prepare builds it.
     The search keeps it a matching whose bound slots sit on their chosen
@@ -308,27 +318,41 @@ def _iter_bindings(
     held p, one _augment from j either moves j elsewhere or proves that no
     solution uses p for slot i, which is then skipped with owner unchanged.
     Unbinding leaves i on p, still a matching. So every opened node has a
-    solution below it in labeled mode, and the first tuple yielded is the
-    lexicographically smallest solution.
+    solution below it in labeled mode, and the first assignment yielded is
+    the lexicographically smallest solution.
 
     With distinct_sets, runs of equal-kind slots are forced onto strictly
     increasing pin indices, so each (kind -> pin set) split appears once, in
     its smallest arrangement. That floor is not part of the matching, so a
-    node may then have nothing below it.
+    node may then have nothing below it. Different splits can still share a
+    pin set; a leaf whose pin set was yielded before is skipped before any
+    object is built, so each set yields its smallest binding only.
+
+    Each solution is built from its parent node: the bound slots' shared
+    Bindings and their running cost are kept beside the chosen pins, the last
+    slot's node freezes that prefix once, and each of its candidates costs
+    one Binding lookup, one addition and one Assignment. Memory stays the
+    O(request length) search state plus the shared Bindings; pin-set mode
+    also keeps the yielded pin sets.
 
     One loop with an explicit stack, so the depth is not bounded by Python's
-    recursion limit. The last slot's candidates are yielded straight from its
-    node.
+    recursion limit.
     """
     slots = problem.slots
     length = len(slots)
+    board = problem.board
     if length == 0:
-        yield ()
+        yield Assignment((), 0, board)
         return
     elig = problem.elig
+    costs = problem.costs
+    bindings = problem.bindings
     last = length - 1
     chosen: list[int] = []  # pins of the slots above the current node
+    bound: list[Binding] = []  # their Bindings
+    spent = 0  # and their total cost
     used: set[int] = set()
+    seen: set[frozenset[int]] = set()  # pin sets yielded, with distinct_sets
     # One entry per open inner node, from the root down: its untried
     # candidates and the pin its slot must exceed (-1 for none).
     frames: list[tuple[Iterator[int], int]] = []
@@ -338,9 +362,15 @@ def _iter_bindings(
         kind = slots[i]
         floor = chosen[-1] if distinct_sets and i > 0 and slots[i - 1] == kind else -1
         if i == last:
+            prefix = tuple(bound)
             for p in elig[kind]:
                 if p > floor and p not in used:
-                    yield (*chosen, p)
+                    if distinct_sets:
+                        key = frozenset((*chosen, p))
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                    yield Assignment((*prefix, bindings[i, p]), spent + costs[p], board)
         else:
             frames.append((iter(elig[kind]), floor))
             mine = next(p for p in elig[kind] if owner.get(p) == i)  # i's pin in owner
@@ -351,6 +381,8 @@ def _iter_bindings(
             if len(chosen) > i:
                 mine = chosen.pop()
                 used.remove(mine)
+                bound.pop()
+                spent -= costs[mine]
             for p in candidates:
                 if p <= floor or p in used:
                     continue
@@ -373,21 +405,11 @@ def _iter_bindings(
                 continue
             used.add(p)
             chosen.append(p)
+            bound.append(bindings[i, p])
+            spent += costs[p]
             break
         else:
             return
-
-
-def _iter_representatives(
-    problem: _Problem, owner: dict[int, int]
-) -> Iterator[tuple[int, ...]]:
-    """Smallest binding per distinct used-pin set, in lexicographic order."""
-    seen: set[frozenset[int]] = set()
-    for chosen in _iter_bindings(problem, owner, distinct_sets=True):
-        key = frozenset(chosen)
-        if key not in seen:
-            seen.add(key)
-            yield chosen
 
 
 def find_feasible(
@@ -405,7 +427,7 @@ def find_feasible(
     if isinstance(prepared, Infeasible):
         return prepared
     problem, owner = prepared
-    return problem.assignment(next(_iter_bindings(problem, owner, distinct_sets=False)))
+    return next(_iter_bindings(problem, owner, distinct_sets=False))
 
 
 def iter_assignments(
@@ -417,12 +439,9 @@ def iter_assignments(
     if isinstance(prepared, Infeasible):
         return
     problem, owner = prepared
-    if options.semantics is Semantics.LABELED:
-        source = _iter_bindings(problem, owner, distinct_sets=False)
-    else:
-        source = _iter_representatives(problem, owner)
-    for chosen in source:
-        yield problem.assignment(chosen)
+    yield from _iter_bindings(
+        problem, owner, distinct_sets=options.semantics is not Semantics.LABELED
+    )
 
 
 def enumerate_all(

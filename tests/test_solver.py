@@ -445,3 +445,58 @@ def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
         "P0", "Q0", "Q1", "Q2", "Q3", "Q4", "Q5", "P1", "P2", "P3",
     ]
     assert first == find_feasible(board, request)
+
+
+@pytest.mark.parametrize(
+    "options, solutions", [(SolveOptions(), 588), (LABELED, 136_800)], ids=["pinsets", "labeled"]
+)
+def test_streamed_assignments_equal_ones_built_from_their_pins(demo_board, options, solutions):
+    """The enumerator builds each solution from its parent node's Bindings
+    and running cost; every one must equal the Assignment built from scratch
+    out of its pin tuple."""
+    request = parse_request(
+        "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
+    )
+    problem = _Problem(demo_board, request, ())
+    index = {pin.id: p for p, pin in enumerate(demo_board.pins)}
+    count = 0
+    for a in iter_assignments(demo_board, request, options):
+        assert [b.slot for b in a.bindings] == list(range(request.length))
+        assert tuple(b.kind for b in a.bindings) == request.canonical
+        assert a.total_cost == assignment_cost(demo_board, a)
+        assert a == problem.assignment(tuple(index[b.pin] for b in a.bindings))
+        count += 1
+    assert count == solutions
+
+
+def _per_kind_tables(board, request, rules):
+    """elig and detail as one scan of every pin per requested kind builds them."""
+    elig, detail = {}, {}
+    for kind in sorted(set(request.canonical)):
+        supporters = []
+        for index, pin in enumerate(board.pins):
+            details = [
+                e.detail
+                for e in pin.entries
+                if e.kind == kind and all(r.predicate(pin, e, kind) for r in rules)
+            ]
+            if details:
+                supporters.append(index)
+                detail[(index, kind)] = min(details)
+        elig[kind] = tuple(supporters)
+    return elig, detail
+
+
+def test_eligibility_tables_equal_a_per_kind_scan():
+    # ICU/TIM1_CH3 sorts first but only ICU/TIM2_CH1 passes icu-ch12.
+    entries = (FunctionEntry("ICU", "TIM1_CH3"), FunctionEntry("ICU", "TIM2_CH1"))
+    two_icu = Board((Pin("PX", entries),))
+    icu = parse_request("icu")
+    for board, request in [*instance_family(seed=31, count=300), (two_icu, icu)]:
+        for rules in ((), (icu_channel_rule(),)):
+            problem = _Problem(board, request, rules)
+            elig, detail = _per_kind_tables(board, request, rules)
+            assert list(problem.elig.items()) == list(elig.items()), (board, request)
+            assert problem.detail == detail, (board, request)
+    assert _Problem(two_icu, icu, ()).detail == {(0, "ICU"): "TIM1_CH3"}
+    assert _Problem(two_icu, icu, (icu_channel_rule(),)).detail == {(0, "ICU"): "TIM2_CH1"}
