@@ -26,8 +26,7 @@ from .codegen import (
 )
 from .configops import diff_assignments, merge_requests
 from .counting import config_space, config_space_board
-from .oracle import brute_force_solve
-from .request import Request, parse_request, quick_reject
+from .request import Request, parse_request
 from .solver import (
     Assignment,
     EnumerationLimitError,
@@ -39,6 +38,7 @@ from .solver import (
     find_best,
     find_feasible,
     iter_assignments,
+    quick_reject,
 )
 
 EXIT_OK = 0
@@ -81,8 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-all", help="enumerate all assignments")
     add_common(p, board=True, request=True, rules=True)
     p.add_argument("--semantics", choices=["pinsets", "labeled"], default="pinsets")
-    p.add_argument("--cap", type=int, default=1_000_000, help="enumeration limit")
-    p.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
+    p.add_argument(
+        "--cap", type=int, default=SolveOptions.enumeration_cap, help="enumeration limit"
+    )
 
     p = sub.add_parser("solve-best", help="find a minimum-cost assignment")
     add_common(p, board=True, request=True, rules=True)
@@ -241,20 +242,6 @@ def _cmd_solve_all(args) -> int:
     request = parse_request(args.request)
     options = SolveOptions(Semantics(args.semantics), _options(args).rules, args.cap)
     assignments = enumerate_all(board, request, options)
-    if args.oracle:
-        result = brute_force_solve(board, request, options.rules)
-        expected = (
-            result.labeled_count
-            if options.semantics is Semantics.LABELED
-            else result.pin_set_count
-        )
-        if expected != len(assignments):
-            print(
-                f"error: oracle mismatch: solver {len(assignments)}, "
-                f"brute force {expected}",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
     if args.format == "json":
         doc = {
             "status": "feasible" if assignments else "infeasible",
@@ -269,8 +256,6 @@ def _cmd_solve_all(args) -> int:
         for n, a in enumerate(assignments, start=1):
             pins = ", ".join(f"{b.pin}:{b.kind}/{b.detail}" for b in a.bindings)
             print(f"  [{n}] cost {a.total_cost}: {pins}")
-        if args.oracle:
-            print("oracle check: ok")
     return EXIT_OK if assignments else EXIT_INFEASIBLE
 
 

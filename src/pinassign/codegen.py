@@ -257,11 +257,21 @@ def emit_alloy_spec(board: Board) -> EmitterOutput:
     return EmitterOutput("alloy-spec", text, len(board.pins), len(text.encode("utf-8")))
 
 
-def _quantifier(count: int) -> str:
-    names = ", ".join(f"p{i}" for i in range(1, count + 1))
-    if count == 1:
-        return f"all {names}:Pin |"
-    return f"all disj {names}:Pin |"
+def _assertion(name: str, slots: tuple[str, ...], cost_term: str = "", scope: str = "") -> str:
+    """One Alloy assert/check block: no disjoint pins serve every slot in order
+    (and meet cost_term, when given); scope follows the check's name."""
+    disj = "" if len(slots) == 1 else "disj "
+    pins = ", ".join(f"p{i}" for i in range(1, len(slots) + 1))
+    terms = [f"    {kind} in p{i}.conntype" for i, kind in enumerate(slots, start=1)]
+    body = " &&\n".join(terms + [f"    {cost_term}"] if cost_term else terms)
+    return (
+        f"assert {name} {{\n"
+        f"  all {disj}{pins}:Pin |\n"
+        f"  not (\n{body}\n"
+        f"  )}}\n"
+        f"\n"
+        f"check {name}{scope}\n"
+    )
 
 
 def emit_alloy_feasibility_assertion(request: Request) -> EmitterOutput:
@@ -272,19 +282,7 @@ def emit_alloy_feasibility_assertion(request: Request) -> EmitterOutput:
     """
     if request.length < 1:
         raise ValueError("feasibility assertion needs a nonempty request")
-    name = "_".join(request.slots)
-    terms = [
-        f"    {kind} in p{i}.conntype" for i, kind in enumerate(request.slots, start=1)
-    ]
-    body = " &&\n".join(terms)
-    text = (
-        f"assert {name} {{\n"
-        f"  {_quantifier(request.length)}\n"
-        f"  not (\n{body}\n"
-        f"  )}}\n"
-        f"\n"
-        f"check {name}\n"
-    )
+    text = _assertion("_".join(request.slots), request.slots)
     _check_balanced(text)
     return EmitterOutput("alloy-assert", text, 1, len(text.encode("utf-8")))
 
@@ -305,27 +303,15 @@ def emit_alloy_best_assertions(
         raise ValueError("need 0 < pc_min <= pc_max")
     length = request.length
     name = "_".join(request.slots)
-    bitwidth = (length * pc_max).bit_length() + 1
+    scope = f" for {(length * pc_max).bit_length() + 1} int"
     cost_expr = "p1.cost" + "".join(f".add[p{i}.cost]" for i in range(2, length + 1))
-    terms = [
-        f"    {kind} in p{i}.conntype" for i, kind in enumerate(request.slots, start=1)
-    ]
-    parts: list[str] = []
-    count = 0
-    for bound in range(length * pc_min, length * pc_max + 1):
-        body = " &&\n".join(terms + [f"    {cost_expr}<={bound}"])
-        parts.append(
-            f"assert {name}_COST_{bound} {{\n"
-            f"  {_quantifier(length)}\n"
-            f"  not (\n{body}\n"
-            f"  )}}\n"
-            f"\n"
-            f"check {name}_COST_{bound} for {bitwidth} int\n"
-        )
-        count += 1
-    text = "\n".join(parts)
+    bounds = range(length * pc_min, length * pc_max + 1)
+    text = "\n".join(
+        _assertion(f"{name}_COST_{bound}", request.slots, f"{cost_expr}<={bound}", scope)
+        for bound in bounds
+    )
     _check_balanced(text)
-    return EmitterOutput("alloy-assert", text, count, len(text.encode("utf-8")))
+    return EmitterOutput("alloy-assert", text, len(bounds), len(text.encode("utf-8")))
 
 
 def emit_graph_dot(board: Board) -> EmitterOutput:

@@ -3,14 +3,15 @@
 The configuration space of a board with n interchangeable pins, m function
 kinds per pin, and assignments up to length L is the number of pairs
 (nonempty pin subset of size <= L, kind multiset matching the subset size).
-These counts exceed 10**12 at realistic board sizes, so everything here is
-exact integer arithmetic (Python ints never overflow).
+Every count is a closed form in binomials, so neither its time nor its stack
+depth grows with the kind count. The counts exceed 10**12 at realistic board
+sizes, so everything here is exact integer arithmetic (Python ints never
+overflow).
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate
 
 
 def binomial(n: int, k: int) -> int:
@@ -22,37 +23,26 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _k_factor_row(n: int, m: int) -> list[int]:
-    """[k_factor(p, m) for p in 0..n], built bottom-up over the kind count.
-
-    Row m is 1 plus the running sums of row m - 1, which is the recurrence of
-    k_factor evaluated for every p at once. Entry 0 is the empty sum's 1.
-    """
-    row = [1] * (n + 1)
-    for _ in range(m - 1):
-        row = list(accumulate(row[1:], initial=1))
-    return row
-
-
 def k_factor(n: int, m: int) -> int:
     """Number of distinct kind multisets of length n over m kinds.
 
-    Computed by the recurrence
+    The paper defines it by the recurrence
 
         k_factor(n, m) = 1 + sum(k_factor(p, m - 1) for p in 1..n)   if m > 1
         k_factor(n, 1) = 1
 
-    which agrees with the closed form binomial(n + m - 1, m - 1) everywhere
-    (asserted by the test suite, not assumed here).
+    whose solution is the stars-and-bars closed form binomial(n + m - 1, m - 1),
+    computed here directly (the test suite checks it against the recurrence).
     """
     if n < 1 or m < 1:
         raise ValueError("k_factor requires n >= 1 and m >= 1")
-    return _k_factor_row(n, m)[n]
+    return binomial(n + m - 1, m - 1)
 
 
 def config_space(n_pins: int, m: int, max_len: int) -> int:
     """Size of the configuration space: pin subsets of size 1..max_len, each
-    paired with every kind multiset of matching size over m kinds.
+    paired with every kind multiset of matching size over m kinds, that is
+    sum(binomial(n_pins, k) * k_factor(k, m) for k in 1..max_len).
 
     Subset sizes above n_pins contribute nothing (their binomial is zero), so
     max_len larger than n_pins is permitted.
@@ -61,9 +51,10 @@ def config_space(n_pins: int, m: int, max_len: int) -> int:
         raise ValueError("n_pins and max_len must be nonnegative")
     if m < 1:
         raise ValueError("m must be positive")
-    top = min(n_pins, max_len)
-    row = _k_factor_row(top, m)
-    return sum(binomial(n_pins, k) * row[k] for k in range(1, top + 1))
+    return sum(
+        binomial(n_pins, k) * binomial(k + m - 1, m - 1)
+        for k in range(1, min(n_pins, max_len) + 1)
+    )
 
 
 def config_space_board(board) -> int:

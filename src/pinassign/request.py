@@ -4,6 +4,8 @@ A request lists the kinds the board must serve, one slot per kind occurrence
 ("analog, analog, icu" asks for two analog-capable pins and one ICU-capable
 pin, all distinct). Slot order as entered is preserved, but all solving is
 defined over the canonical form: the same multiset sorted by kind name.
+This module only parses and canonicalizes; the solver module checks a
+request against a board (quick_reject, the solves).
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .board import Board, canonical_kind
+from .board import canonical_kind
 
 
 class RequestParseError(ValueError):
@@ -35,13 +37,6 @@ class Request:
 
     def multiplicities(self) -> Counter:
         return Counter(self.slots)
-
-
-@dataclass(frozen=True)
-class Rejection:
-    """Why a request cannot possibly be served, from a necessary-condition check."""
-
-    reason: str
 
 
 def parse_request(text: str) -> Request:
@@ -68,29 +63,3 @@ def parse_request(text: str) -> Request:
 def canonicalize(request: Request) -> Request:
     """Sort the request's slots into canonical order. Idempotent."""
     return Request(request.canonical)
-
-
-def quick_reject(board: Board, request: Request) -> Rejection | None:
-    """Cheap necessary-condition filter ahead of the full solve.
-
-    Returns a Rejection when the request is provably unservable: more slots
-    than pins, or some kind demanded more times than there are pins offering
-    it. Returns None when no such obstruction exists; the solver still has to
-    decide feasibility. Never rejects a servable request.
-    """
-    if request.length > len(board):
-        return Rejection(
-            f"{request.length} slots requested but board has {len(board)} pins"
-        )
-    offers: Counter = Counter()
-    for pin in board.pins:
-        for kind in set(pin.kinds()):
-            offers[kind] += 1
-    for kind, needed in request.multiplicities().items():
-        if offers[kind] < needed:
-            if offers[kind] == 0:
-                return Rejection(f"no pin offers {kind}")
-            return Rejection(
-                f"{needed} x {kind} requested but only {offers[kind]} pins offer it"
-            )
-    return None

@@ -19,11 +19,15 @@ used pins, namely the smallest binding realizing that set.
 iter_assignments is a depth-first search over one kept matching of all
 slots: _prepare builds it, and a bind that takes a pin another slot holds
 either repairs it with one augmenting path (_augment, the only
-augmenting-path routine) or skips that pin. A labeled search therefore opens
-no node without a solution below it, and find_feasible is its first
-solution. When the initial matching fails, the infeasibility witness is read
-from the pins that failed search visited. find_best is a single weighted
-bipartite assignment solve whose weights carry the lexicographic tie-break.
+augmenting-path routine) or skips that pin. _augment keeps one set of
+blocked pins: those the caller rules out (a repair's bound pins) and every
+pin it has tried. A labeled search therefore opens no node without a
+solution below it, and find_feasible is its first solution. When the initial
+matching fails, the infeasibility witness is read from the pins that failed
+search blocked. find_best is a single weighted bipartite assignment solve
+whose weights carry the lexicographic tie-break. quick_reject reads the same
+eligibility table (_Problem.elig) to reject a request some kind of which has
+too few pins, before any search.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
@@ -49,7 +53,6 @@ from .request import Request
 
 REASON_KIND_UNSUPPORTED = "kind-unsupported"
 REASON_PIGEONHOLE = "pigeonhole"
-REASON_EXHAUSTED = "exhausted-search"
 
 _ICU_CH12_RE = re.compile(r"TIM\d+_CH[12]\Z")
 
@@ -156,6 +159,13 @@ class Infeasible:
 SolveOutcome = Assignment | Infeasible
 
 
+@dataclass(frozen=True)
+class Rejection:
+    """Why a request cannot possibly be served, from a necessary-condition check."""
+
+    reason: str
+
+
 class _Bindings(dict):
     """(slot, pin index) -> that slot's Binding on that pin, built on first lookup.
 
@@ -217,21 +227,21 @@ class _Problem:
         )
 
 
-def _augment(
-    problem: _Problem, slot: int, owner: dict[int, int], banned: set[int], visited: set[int]
-) -> bool:
+def _augment(problem: _Problem, slot: int, owner: dict[int, int], blocked: set[int]) -> bool:
     """Kuhn's augmenting path: find slot a pin, moving other slots along the way.
 
     owner maps each matched pin to its slot. Pins are tried in declaration
-    order, skipping banned and already visited ones; on success the path is
-    flipped in owner, and on failure owner is unchanged and visited holds
-    every pin reachable from slot by alternating paths.
+    order, skipping blocked ones, and every pin tried joins blocked, so one
+    set holds both the pins the caller rules out and those already visited.
+    On success the path is flipped in owner; on failure owner is unchanged
+    and blocked has gained every pin reachable from slot by alternating
+    paths.
     """
     for p in problem.elig[problem.slots[slot]]:
-        if p in banned or p in visited:
+        if p in blocked:
             continue
-        visited.add(p)
-        if p not in owner or _augment(problem, owner[p], owner, banned, visited):
+        blocked.add(p)
+        if p not in owner or _augment(problem, owner[p], owner, blocked):
             owner[p] = slot
             return True
     return False
@@ -266,6 +276,29 @@ def check_witness(
     return witness == _witness(problem, witness.kinds) and witness.demanded > len(witness.pins)
 
 
+def quick_reject(board: Board, request: Request) -> Rejection | None:
+    """Cheap necessary-condition filter ahead of the full solve.
+
+    Returns a Rejection when the request is provably unservable: more slots
+    than pins, or some kind demanded more times than there are pins offering
+    it (the eligibility table without rules). Returns None when no such
+    obstruction exists; the solver still has to decide feasibility. Never
+    rejects a servable request.
+    """
+    if request.length > len(board):
+        return Rejection(
+            f"{request.length} slots requested but board has {len(board)} pins"
+        )
+    elig = _Problem(board, request, ()).elig
+    for kind, needed in request.multiplicities().items():
+        offers = len(elig[kind])
+        if offers < needed:
+            if offers == 0:
+                return Rejection(f"no pin offers {kind}")
+            return Rejection(f"{needed} x {kind} requested but only {offers} pins offer it")
+    return None
+
+
 def _prepare(
     board: Board, request: Request, options: SolveOptions
 ) -> tuple[_Problem, dict[int, int]] | Infeasible:
@@ -295,7 +328,7 @@ def _prepare(
     owner: dict[int, int] = {}
     for slot in range(len(problem.slots)):
         visited: set[int] = set()
-        if not _augment(problem, slot, owner, set(), visited):
+        if not _augment(problem, slot, owner, visited):
             reached = {slot} | {owner[p] for p in visited}
             witness = _witness(problem, tuple(sorted({problem.slots[s] for s in reached})))
             return Infeasible(
@@ -394,10 +427,8 @@ def _iter_bindings(
                 if held is None:
                     break
                 # Find the displaced slot another pin, or undo and skip p.
-                used.add(p)
-                if _augment(problem, held, owner, used, set()):
+                if _augment(problem, held, owner, {p, *used}):
                     break
-                used.remove(p)
                 owner[p] = held
                 owner[mine] = i
             else:

@@ -3,6 +3,9 @@
 import io
 import json
 import math
+import re
+import shlex
+import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -119,16 +122,6 @@ def test_solve_all_labeled_counts(two_pin_file, capsys):
     assert code == 0
     assert doc["count"] == 2
     assert doc["costs"] == [7, 7]
-
-
-@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
-def test_solve_all_oracle_flag(two_pin_file, capsys):
-    code = run(
-        ["solve-all", "--board", two_pin_file, "--request", "analog,analog", "--oracle"]
-    )
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "oracle check: ok" in out
 
 
 def test_solve_best_strategies_match(two_pin_file, capsys):
@@ -492,3 +485,39 @@ def test_serialized_board_round_trips_through_validate(board):
         "max_entries_per_pin": max((pin.cost for pin in board.pins), default=0),
         "kinds": sorted({kind for pin in board.pins for kind in pin.kinds()}),
     }
+
+
+README_PATH = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_commands() -> list[str]:
+    """Every `pinassign ...` line of README's sh blocks, continuations joined."""
+    text = README_PATH.read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.strip().startswith("pinassign "):
+                commands.append(line.strip())
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """The README's commands run as written, from a checkout-like directory
+    (boards/ beside an existing out/), and a `# -> value` comment is what the
+    command prints. A README that shows a removed flag fails here."""
+    (tmp_path / "boards").mkdir()
+    shutil.copy(DEMO_BOARD_PATH, tmp_path / "boards")
+    (tmp_path / "out").mkdir()
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 21
+    documented = {}
+    for line in commands:
+        code = run(shlex.split(line, comments=True)[1:])
+        out = capsys.readouterr().out
+        assert code == 0, line
+        shown = re.search(r"#\s*->\s*(\S+)", line)
+        if shown:
+            assert out.strip() == shown.group(1), line
+            documented[line.partition("#")[0].strip()] = out.strip()
+    assert documented["pinassign count --pins 16 --functions 20"] == "1099126862792"

@@ -291,6 +291,61 @@ def test_best_assertions_bitwidth_covers_max_total():
     assert 2 ** (width - 1) - 1 >= 3 * 4
 
 
+DEMO_REQUEST = "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
+
+
+@pytest.mark.parametrize(
+    "request_text, items, nbytes, sha256",
+    [
+        (DEMO_REQUEST, 1, 526, "49cfd917a804f7233821214ae113ebe00f01a7de597fb818f341ffad941a0041"),
+        ("analog,analog", 1, 136, "8d7971d11c39c1935d3053d6c56ff092cb6dac15f3b93a57cf83cf1a3accf7a5"),
+        ("icu", 1, 75, "72cba1e8e3e6e09d8d3623dc10b03a074fdcbe641a341433c2b92f544bfaaf94"),
+    ],
+    ids=["demo-10", "two-analogs", "single-slot"],
+)
+def test_feasibility_assertion_golden(request_text, items, nbytes, sha256):
+    output = emit_alloy_feasibility_assertion(parse_request(request_text))
+    data = output.text.encode("utf-8")
+    assert (output.kind, output.items, output.nbytes, len(data)) == (
+        "alloy-assert", items, nbytes, nbytes
+    )
+    assert hashlib.sha256(data).hexdigest() == sha256
+
+
+def test_best_assertions_golden(demo_board):
+    costs = [pin.cost for pin in demo_board.pins]
+    output = emit_alloy_best_assertions(parse_request("analog,icu,pwm"), min(costs), max(costs))
+    data = output.text.encode("utf-8")
+    assert (min(costs), max(costs)) == (2, 4)
+    assert (output.kind, output.items, output.nbytes, len(data)) == ("alloy-assert", 7, 1646, 1646)
+    assert hashlib.sha256(data).hexdigest() == (
+        "977cb5b8734b2cae4e1aa7673a52bb6340b22197315ccf6c7a26c08d82483a95"
+    )
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((parse_request(""), 0, 0), "best-cost assertions need a nonempty request"),
+        ((parse_request(""), 1, 2), "best-cost assertions need a nonempty request"),
+        ((parse_request("icu"), 0, 1), "need 0 < pc_min <= pc_max"),
+        ((parse_request("icu"), 3, 2), "need 0 < pc_min <= pc_max"),
+    ],
+    ids=["empty-and-bad-bounds", "empty", "zero-min", "min-over-max"],
+)
+def test_best_assertions_error_messages(args, message):
+    """The request is checked before the cost bounds."""
+    with pytest.raises(ValueError) as exc:
+        emit_alloy_best_assertions(*args)
+    assert str(exc.value) == message
+
+
+def test_feasibility_assertion_error_message():
+    with pytest.raises(ValueError) as exc:
+        emit_alloy_feasibility_assertion(parse_request(""))
+    assert str(exc.value) == "feasibility assertion needs a nonempty request"
+
+
 # --- DOT graph
 
 

@@ -1,6 +1,7 @@
 """Configuration-space counting: worked totals, duality, brute-force equality."""
 
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -49,12 +50,35 @@ def test_k_factor_worked_values():
     assert k_factor(3, 2) == 4
 
 
+def _k_factor_row(n, m):
+    """[k_factor(p, m) for p in 0..n] by the paper's recurrence, bottom-up over
+    the kind count: row m is 1 plus the running sums of row m - 1 (entry 0 is
+    the empty sum's 1). The reference the closed form is checked against."""
+    row = [1] * (n + 1)
+    for _ in range(m - 1):
+        row = list(accumulate(row[1:], initial=1))
+    return row
+
+
 def test_k_factor_equals_closed_form():
     for n in range(1, 13):
         for m in range(1, 7):
-            assert k_factor(n, m) == binomial(n + m - 1, m - 1)
+            assert k_factor(n, m) == _k_factor_row(n, m)[n]
     # thousands of kinds: far deeper than the interpreter's recursion limit
-    assert k_factor(50, 3000) == binomial(50 + 3000 - 1, 3000 - 1)
+    assert k_factor(50, 3000) == _k_factor_row(50, 3000)[50]
+
+
+def test_config_space_equals_recurrence_sum():
+    for n in range(0, 13):
+        for m in range(1, 7):
+            row = _k_factor_row(n, m)
+            for L in range(0, n + 2):
+                top = min(n, L)
+                assert config_space(n, m, L) == sum(
+                    binomial(n, k) * row[k] for k in range(1, top + 1)
+                )
+    row = _k_factor_row(50, 3000)
+    assert config_space(50, 3000, 50) == sum(binomial(50, k) * row[k] for k in range(1, 51))
 
 
 def test_k_factor_rejects_nonpositive():

@@ -1,6 +1,7 @@
 """Request parsing, canonicalization, and the quick-reject filter."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +15,7 @@ from pinassign import (
 )
 from pinassign.oracle import brute_force_solve
 
-from conftest import instance_family
+from conftest import KIND_POOL, instance_family, random_board
 
 
 def test_parse_two_analogs():
@@ -96,3 +97,42 @@ def test_quick_reject_never_rejects_solvable():
         if quick_reject(board, request) is not None:
             result = brute_force_solve(board, request)
             assert result.labeled_count == 0, (board, request)
+
+
+def _quick_reject_reference(board, request):
+    """quick_reject's former per-pin count, kept as the reference: the reason
+    it gives, or None."""
+    if request.length > len(board):
+        return f"{request.length} slots requested but board has {len(board)} pins"
+    offers: Counter = Counter()
+    for pin in board.pins:
+        for kind in set(pin.kinds()):
+            offers[kind] += 1
+    for kind, needed in request.multiplicities().items():
+        if offers[kind] < needed:
+            if offers[kind] == 0:
+                return f"no pin offers {kind}"
+            return f"{needed} x {kind} requested but only {offers[kind]} pins offer it"
+    return None
+
+
+def test_quick_reject_equals_per_pin_count():
+    """Random boards, each asked for a few kinds as often as pins offer them
+    or once more, in random slot order and cut to half the board's length up
+    to one more than it. Several kinds often fall short, and the first one in
+    input order must be the one reported."""
+    rng = random.Random(4242)
+    several_short = 0
+    for _ in range(600):
+        board = random_board(rng, max_pins=9, max_entries=2)
+        offers = Counter(kind for pin in board.pins for kind in set(pin.kinds()))
+        kinds = rng.sample(KIND_POOL, rng.randint(1, 4))
+        slots = [k for k in kinds for _ in range(max(1, offers[k] + rng.randint(0, 1)))]
+        rng.shuffle(slots)
+        request = Request(tuple(slots[: rng.randint(len(board) // 2, len(board) + 1)]))
+        short = [k for k, n in request.multiplicities().items() if offers[k] < n]
+        several_short += len(short) > 1 and request.length <= len(board)
+        rejection = quick_reject(board, request)
+        reference = _quick_reject_reference(board, request)
+        assert (rejection and rejection.reason) == reference, (board, request)
+    assert several_short > 100, several_short
