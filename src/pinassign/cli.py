@@ -4,8 +4,11 @@ Subcommands: validate, solve, solve-all, solve-best, count, emit, graph,
 merge, diff, bench. Exit codes: 0 success or feasible, 1 infeasible (the run
 was valid but no solution exists), 2 usage, parse, or I/O errors.
 
-Output is deterministic for fixed inputs; only bench timing fields vary
-between runs. --format json emits one structured document on stdout.
+Every subcommand but emit and graph takes --format text|json and prints
+either a text report or one structured JSON document on stdout; only the
+chosen form is built. emit and graph write their document to stdout or to
+--out. Output is deterministic for fixed inputs; only bench timing fields
+vary between runs.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from .board import Board, board_stats, parse_board
@@ -24,7 +28,7 @@ from .codegen import (
     emit_graph_dot,
     emit_prolog,
 )
-from .configops import diff_assignments, merge_requests
+from .configops import ConfigDiff, diff_assignments, merge_requests
 from .counting import config_space, config_space_board
 from .request import Request, parse_request
 from .solver import (
@@ -34,6 +38,7 @@ from .solver import (
     RULES_BY_NAME,
     Semantics,
     SolveOptions,
+    SolveOutcome,
     enumerate_all,
     find_best,
     find_feasible,
@@ -45,6 +50,22 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_ERROR = 2
 
+# The flags each emit target needs; emit declares them optional because the
+# targets differ.
+_EMIT_NEEDS = {
+    "prolog": ("board",),
+    "alloy-spec": ("board",),
+    "alloy-assert": ("request",),
+    "alloy-best": ("board", "request"),
+}
+
+
+def _flag(*names: str, **spec) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, declared once for every subcommand using it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **spec)
+    return parent
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -53,43 +74,34 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, board=False, request=False, rules=False, fmt=True):
-        if board:
-            p.add_argument("--board", required=True, metavar="FILE", help="board file")
-        if request:
-            p.add_argument(
-                "--request", required=True, metavar="LIST", help="comma-separated kinds"
-            )
-        if rules:
-            p.add_argument(
-                "--rule",
-                action="append",
-                default=[],
-                choices=sorted(RULES_BY_NAME),
-                help="enable an eligibility rule (repeatable)",
-            )
-        if fmt:
-            p.add_argument("--format", choices=["text", "json"], default="text")
+    board = _flag("--board", required=True, metavar="FILE", help="board file")
+    request = _flag("--request", required=True, metavar="LIST", help="comma-separated kinds")
+    rule = _flag(
+        "--rule",
+        action="append",
+        default=[],
+        choices=sorted(RULES_BY_NAME),
+        help="enable an eligibility rule (repeatable)",
+    )
+    fmt = _flag("--format", choices=["text", "json"], default="text")
+    solving = [board, request, rule, fmt]
 
-    p = sub.add_parser("validate", help="check a board file (and optionally a request)")
-    add_common(p, board=True)
+    p = sub.add_parser(
+        "validate", parents=[board, fmt], help="check a board file (and optionally a request)"
+    )
     p.add_argument("--request", metavar="LIST", help="request to validate against the board")
 
-    p = sub.add_parser("solve", help="find one feasible assignment")
-    add_common(p, board=True, request=True, rules=True)
+    sub.add_parser("solve", parents=solving, help="find one feasible assignment")
 
-    p = sub.add_parser("solve-all", help="enumerate all assignments")
-    add_common(p, board=True, request=True, rules=True)
+    p = sub.add_parser("solve-all", parents=solving, help="enumerate all assignments")
     p.add_argument("--semantics", choices=["pinsets", "labeled"], default="pinsets")
     p.add_argument(
         "--cap", type=int, default=SolveOptions.enumeration_cap, help="enumeration limit"
     )
 
-    p = sub.add_parser("solve-best", help="find a minimum-cost assignment")
-    add_common(p, board=True, request=True, rules=True)
+    sub.add_parser("solve-best", parents=solving, help="find a minimum-cost assignment")
 
-    p = sub.add_parser("count", help="size of the configuration space")
-    add_common(p)
+    p = sub.add_parser("count", parents=[fmt], help="size of the configuration space")
     p.add_argument("--pins", type=int, metavar="N", help="pin count (formula mode)")
     p.add_argument(
         "--functions", type=int, metavar="M", help="configurations per pin (formula mode)"
@@ -98,32 +110,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", metavar="FILE", help="count a concrete board instead")
 
     p = sub.add_parser("emit", help="emit a model-checking document")
-    p.add_argument(
-        "--target",
-        required=True,
-        choices=["prolog", "alloy-spec", "alloy-assert", "alloy-best"],
-    )
+    p.add_argument("--target", required=True, choices=list(_EMIT_NEEDS))
     p.add_argument("--board", metavar="FILE")
     p.add_argument("--request", metavar="LIST")
     p.add_argument("--max-len", type=int, metavar="N", help="prolog fact length bound")
     p.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
 
-    p = sub.add_parser("graph", help="emit the domain graph in DOT form")
-    p.add_argument("--board", required=True, metavar="FILE")
+    p = sub.add_parser("graph", parents=[board], help="emit the domain graph in DOT form")
     p.add_argument("--out", metavar="FILE")
 
-    p = sub.add_parser("merge", help="merge requests into one")
-    p.add_argument(
+    requests = _flag(
         "--request",
         action="append",
         required=True,
         metavar="LIST",
         help="request to merge (repeatable)",
     )
-    p.add_argument("--format", choices=["text", "json"], default="text")
+    sub.add_parser("merge", parents=[requests, fmt], help="merge requests into one")
 
-    p = sub.add_parser("diff", help="compare the best assignments of two requests")
-    add_common(p, board=True, rules=True)
+    p = sub.add_parser(
+        "diff", parents=[board, rule, fmt], help="compare the best assignments of two requests"
+    )
     p.add_argument(
         "--request",
         action="append",
@@ -132,8 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exactly two requests to compare",
     )
 
-    p = sub.add_parser("bench", help="timing table over request prefixes")
-    add_common(p, board=True, request=True, rules=True)
+    p = sub.add_parser("bench", parents=solving, help="timing table over request prefixes")
     p.add_argument("--max-len", type=int, metavar="N", help="longest prefix to run")
 
     return parser
@@ -147,42 +153,47 @@ def _options(args) -> SolveOptions:
     return SolveOptions(rules=tuple(RULES_BY_NAME[name]() for name in args.rule))
 
 
-def _assignment_doc(assignment: Assignment) -> dict:
+def _show(args, value, doc, text) -> None:
+    """Report value in the --format asked for: print the JSON document
+    doc(value), or let text(value) print the text report. Only the chosen
+    form is built."""
+    if args.format == "json":
+        print(json.dumps(doc(value), indent=2))
+    else:
+        text(value)
+
+
+def _outcome_doc(outcome: SolveOutcome) -> dict:
+    """The JSON document of a solve outcome, feasible or not."""
+    if isinstance(outcome, Infeasible):
+        doc = {"status": "infeasible", "reason": outcome.reason}
+        if outcome.witness is not None:
+            doc["witness"] = asdict(outcome.witness)
+        return doc
     return {
         "status": "feasible",
         "assignment": [
             {"slot": b.slot, "kind": b.kind, "pin": b.pin, "detail": b.detail}
-            for b in assignment.bindings
+            for b in outcome.bindings
         ],
-        "cost": assignment.total_cost,
+        "cost": outcome.total_cost,
     }
 
 
-def _infeasible_doc(outcome: Infeasible) -> dict:
-    doc = {"status": "infeasible", "reason": outcome.reason}
-    if outcome.witness is not None:
-        doc["witness"] = {
-            "kinds": list(outcome.witness.kinds),
-            "pins": list(outcome.witness.pins),
-            "demanded": outcome.witness.demanded,
-        }
-    return doc
-
-
-def _print_assignment_text(assignment: Assignment) -> None:
-    print(f"feasible, cost {assignment.total_cost}")
-    for b in assignment.bindings:
-        print(f"  slot {b.slot}: {b.kind} -> {b.pin} ({b.detail})")
-
-
-def _print_infeasible_text(outcome: Infeasible) -> None:
-    print(f"infeasible: {outcome.message}")
-    if outcome.witness is not None:
-        w = outcome.witness
-        print(
-            f"  witness: {w.demanded} x {{{', '.join(w.kinds)}}} "
-            f"vs pins {{{', '.join(w.pins)}}}"
-        )
+def _outcome_text(outcome: SolveOutcome) -> None:
+    """Print the text report of a solve outcome, feasible or not."""
+    if isinstance(outcome, Infeasible):
+        print(f"infeasible: {outcome.message}")
+        if outcome.witness is not None:
+            w = outcome.witness
+            print(
+                f"  witness: {w.demanded} x {{{', '.join(w.kinds)}}} "
+                f"vs pins {{{', '.join(w.pins)}}}"
+            )
+    else:
+        print(f"feasible, cost {outcome.total_cost}")
+        for b in outcome.bindings:
+            print(f"  slot {b.slot}: {b.kind} -> {b.pin} ({b.detail})")
 
 
 def _cmd_validate(args) -> int:
@@ -203,20 +214,22 @@ def _cmd_validate(args) -> int:
             "canonical": list(request.canonical),
             "quick_reject": rejected.reason if rejected else None,
         }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"board: {board.name or '(unnamed)'}")
-        print(f"pins: {pin_count}, max entries per pin: {max_cost}")
-        print(f"kinds: {', '.join(sorted(kinds)) or '(none)'}")
-        if args.request is not None:
-            print(f"request: length {doc['request']['length']}, "
-                  f"canonical {','.join(doc['request']['canonical']) or '(empty)'}")
-            if rejected:
-                print(f"quick check: rejected: {rejected.reason}")
-            else:
-                print("quick check: no obstruction found")
+    _show(args, doc, lambda doc: doc, _validate_text)
     return EXIT_INFEASIBLE if rejected else EXIT_OK
+
+
+def _validate_text(doc: dict) -> None:
+    print(f"board: {doc['board'] or '(unnamed)'}")
+    print(f"pins: {doc['pins']}, max entries per pin: {doc['max_entries_per_pin']}")
+    print(f"kinds: {', '.join(doc['kinds']) or '(none)'}")
+    if "request" in doc:
+        request = doc["request"]
+        print(f"request: length {request['length']}, "
+              f"canonical {','.join(request['canonical']) or '(empty)'}")
+        if request["quick_reject"] is not None:
+            print(f"quick check: rejected: {request['quick_reject']}")
+        else:
+            print("quick check: no obstruction found")
 
 
 def _cmd_solve(args) -> int:
@@ -224,17 +237,8 @@ def _cmd_solve(args) -> int:
     board = _read_board(args.board)
     request = parse_request(args.request)
     outcome = solve(board, request, _options(args))
-    if isinstance(outcome, Infeasible):
-        if args.format == "json":
-            print(json.dumps(_infeasible_doc(outcome), indent=2))
-        else:
-            _print_infeasible_text(outcome)
-        return EXIT_INFEASIBLE
-    if args.format == "json":
-        print(json.dumps(_assignment_doc(outcome), indent=2))
-    else:
-        _print_assignment_text(outcome)
-    return EXIT_OK
+    _show(args, outcome, _outcome_doc, _outcome_text)
+    return EXIT_INFEASIBLE if isinstance(outcome, Infeasible) else EXIT_OK
 
 
 def _cmd_solve_all(args) -> int:
@@ -242,91 +246,71 @@ def _cmd_solve_all(args) -> int:
     request = parse_request(args.request)
     options = SolveOptions(Semantics(args.semantics), _options(args).rules, args.cap)
     assignments = enumerate_all(board, request, options)
-    if args.format == "json":
-        doc = {
+
+    def doc(assignments) -> dict:
+        return {
             "status": "feasible" if assignments else "infeasible",
             "semantics": args.semantics,
             "count": len(assignments),
-            "assignments": [_assignment_doc(a)["assignment"] for a in assignments],
+            "assignments": [_outcome_doc(a)["assignment"] for a in assignments],
             "costs": [a.total_cost for a in assignments],
         }
-        print(json.dumps(doc, indent=2))
-    else:
+
+    def text(assignments) -> None:
         print(f"{len(assignments)} solutions ({args.semantics})")
         for n, a in enumerate(assignments, start=1):
             pins = ", ".join(f"{b.pin}:{b.kind}/{b.detail}" for b in a.bindings)
             print(f"  [{n}] cost {a.total_cost}: {pins}")
+
+    _show(args, assignments, doc, text)
     return EXIT_OK if assignments else EXIT_INFEASIBLE
 
 
 def _cmd_count(args) -> int:
     if args.board is not None:
         board = _read_board(args.board)
-        value = config_space_board(board)
-        doc = {"mode": "board", "pins": len(board), "count": value}
+        doc = {"mode": "board", "pins": len(board), "count": config_space_board(board)}
+    elif args.pins is None or args.functions is None:
+        raise ValueError("count needs either --board or both --pins and --functions")
     else:
-        if args.pins is None or args.functions is None:
-            print(
-                "error: count needs either --board or both --pins and --functions",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
         max_len = args.max_len if args.max_len is not None else args.pins
-        value = config_space(args.pins, args.functions, max_len)
         doc = {
             "mode": "formula",
             "pins": args.pins,
             "functions": args.functions,
             "max_len": max_len,
-            "count": value,
+            "count": config_space(args.pins, args.functions, max_len),
         }
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(value)
+    _show(args, doc, lambda doc: doc, lambda doc: print(doc["count"]))
     return EXIT_OK
 
 
 def _cmd_emit(args) -> int:
-    def require(flag, value):
-        if value is None:
-            print(f"error: --target {args.target} requires {flag}", file=sys.stderr)
-            return False
-        return True
-
-    if args.target == "prolog":
-        if not require("--board", args.board):
-            return EXIT_ERROR
-        board = _read_board(args.board)
-        max_len = args.max_len if args.max_len is not None else max(len(board), 1)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as sink:
-                output = emit_prolog(board, max_len, sink=sink)
-            print(f"wrote {output.items} facts ({output.nbytes} bytes) to {args.out}")
-        else:
-            output = emit_prolog(board, max_len, sink=sys.stdout)
-        return EXIT_OK
-
+    for flag in _EMIT_NEEDS[args.target]:
+        if getattr(args, flag) is None:
+            raise ValueError(f"--target {args.target} requires --{flag}")
+    if args.target == "alloy-assert":
+        return _write_document(args, emit_alloy_feasibility_assertion(parse_request(args.request)))
+    board = _read_board(args.board)
     if args.target == "alloy-spec":
-        if not require("--board", args.board):
-            return EXIT_ERROR
-        output = emit_alloy_spec(_read_board(args.board))
-    elif args.target == "alloy-assert":
-        if not require("--request", args.request):
-            return EXIT_ERROR
-        output = emit_alloy_feasibility_assertion(parse_request(args.request))
-    else:  # alloy-best
-        if not require("--board", args.board) or not require("--request", args.request):
-            return EXIT_ERROR
-        board = _read_board(args.board)
+        return _write_document(args, emit_alloy_spec(board))
+    if args.target == "alloy-best":
         if not board.pins:
-            print("error: alloy-best needs a nonempty board", file=sys.stderr)
-            return EXIT_ERROR
+            raise ValueError("alloy-best needs a nonempty board")
         costs = [p.cost for p in board.pins]
-        output = emit_alloy_best_assertions(
-            parse_request(args.request), min(costs), max(costs)
-        )
-    return _write_document(args, output)
+        output = emit_alloy_best_assertions(parse_request(args.request), min(costs), max(costs))
+        return _write_document(args, output)
+
+    max_len = args.max_len if args.max_len is not None else max(len(board), 1)
+    if max_len < 1:  # emit_prolog checks too, but only after --out is opened and emptied
+        raise ValueError("max_len must be positive")
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as sink:
+            output = emit_prolog(board, max_len, sink=sink)
+        print(f"wrote {output.items} facts ({output.nbytes} bytes) to {args.out}")
+    else:
+        emit_prolog(board, max_len, sink=sys.stdout)
+    return EXIT_OK
 
 
 def _cmd_graph(args) -> int:
@@ -344,64 +328,62 @@ def _write_document(args, output) -> int:
 
 
 def _cmd_merge(args) -> int:
-    requests = [parse_request(text) for text in args.request]
     merged = Request(())
-    for request in requests:
-        merged = merge_requests(merged, request)
-    if args.format == "json":
-        print(json.dumps({"request": list(merged.canonical), "length": merged.length}, indent=2))
-    else:
-        print(",".join(merged.canonical))
+    for text in args.request:
+        merged = merge_requests(merged, parse_request(text))
+    _show(args, merged, lambda m: {"request": list(m.canonical), "length": m.length},
+          lambda m: print(",".join(m.canonical)))
     return EXIT_OK
 
 
 def _cmd_diff(args) -> int:
     if len(args.request) != 2:
-        print("error: diff needs exactly two --request values", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError("diff needs exactly two --request values")
     board = _read_board(args.board)
     options = _options(args)
     outcomes = [find_best(board, parse_request(text), options) for text in args.request]
     for text, outcome in zip(args.request, outcomes):
         if isinstance(outcome, Infeasible):
-            if args.format == "json":
-                doc = _infeasible_doc(outcome)
-                doc["request"] = text
-                print(json.dumps(doc, indent=2))
-            else:
+
+            def report(outcome) -> None:
                 print(f"request {text!r}: ", end="")
-                _print_infeasible_text(outcome)
+                _outcome_text(outcome)
+
+            _show(args, outcome, lambda outcome: {**_outcome_doc(outcome), "request": text}, report)
             return EXIT_INFEASIBLE
-    diff = diff_assignments(outcomes[0], outcomes[1])
-    if args.format == "json":
-        doc = {
-            "status": "ok",
-            "added_kinds": list(diff.added_kinds),
-            "removed_kinds": list(diff.removed_kinds),
-            "changes": [
-                {
-                    "pin": c.pin,
-                    "old": None if c.old is None else {"kind": c.old[0], "detail": c.old[1]},
-                    "new": None if c.new is None else {"kind": c.new[0], "detail": c.new[1]},
-                }
-                for c in diff.pin_changes
-            ],
-            "cost_delta": diff.cost_delta,
-        }
-        print(json.dumps(doc, indent=2))
-    else:
-        if diff.is_empty:
-            print("no differences")
-        if diff.added_kinds:
-            print(f"added kinds: {','.join(diff.added_kinds)}")
-        if diff.removed_kinds:
-            print(f"removed kinds: {','.join(diff.removed_kinds)}")
-        for c in diff.pin_changes:
-            old = f"{c.old[0]}/{c.old[1]}" if c.old else "(unused)"
-            new = f"{c.new[0]}/{c.new[1]}" if c.new else "(unused)"
-            print(f"  {c.pin}: {old} -> {new}")
-        print(f"cost delta: {diff.cost_delta:+d}")
+    _show(args, diff_assignments(outcomes[0], outcomes[1]), _diff_doc, _diff_text)
     return EXIT_OK
+
+
+def _diff_doc(diff: ConfigDiff) -> dict:
+    return {
+        "status": "ok",
+        "added_kinds": list(diff.added_kinds),
+        "removed_kinds": list(diff.removed_kinds),
+        "changes": [
+            {
+                "pin": c.pin,
+                "old": None if c.old is None else {"kind": c.old[0], "detail": c.old[1]},
+                "new": None if c.new is None else {"kind": c.new[0], "detail": c.new[1]},
+            }
+            for c in diff.pin_changes
+        ],
+        "cost_delta": diff.cost_delta,
+    }
+
+
+def _diff_text(diff: ConfigDiff) -> None:
+    if diff.is_empty:
+        print("no differences")
+    if diff.added_kinds:
+        print(f"added kinds: {','.join(diff.added_kinds)}")
+    if diff.removed_kinds:
+        print(f"removed kinds: {','.join(diff.removed_kinds)}")
+    for c in diff.pin_changes:
+        old = f"{c.old[0]}/{c.old[1]}" if c.old else "(unused)"
+        new = f"{c.new[0]}/{c.new[1]}" if c.new else "(unused)"
+        print(f"  {c.pin}: {old} -> {new}")
+    print(f"cost delta: {diff.cost_delta:+d}")
 
 
 def bench(
@@ -485,10 +467,7 @@ def _cmd_bench(args) -> int:
     request = parse_request(args.request)
     max_len = args.max_len if args.max_len is not None else request.length
     rows = bench(board, request, max_len, _options(args))
-    if args.format == "json":
-        print(json.dumps({"rows": rows}, indent=2))
-        return EXIT_OK
-    print(format_bench_table(rows))
+    _show(args, rows, lambda rows: {"rows": rows}, lambda rows: print(format_bench_table(rows)))
     return EXIT_OK
 
 

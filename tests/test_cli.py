@@ -227,6 +227,15 @@ def test_emit_prolog_to_file(two_pin_file, tmp_path, capsys):
     assert "getConfig" in target.read_text(encoding="utf-8")
 
 
+def test_failed_prolog_emit_leaves_out_file_intact(tmp_path, capsys):
+    target = tmp_path / "f.pl"
+    target.write_bytes(b"% kept\n")
+    argv = ["emit", "--target", "prolog", "--board", DEMO, "--max-len", "0", "--out", str(target)]
+    assert run(argv) == 2
+    assert "error: max_len must be positive" in capsys.readouterr().err
+    assert target.read_bytes() == b"% kept\n"
+
+
 def test_emit_alloy_spec(two_pin_file, capsys):
     assert run(["emit", "--target", "alloy-spec", "--board", two_pin_file]) == 0
     assert "one sig PA1 extends Pin {} {" in capsys.readouterr().out
