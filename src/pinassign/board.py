@@ -12,9 +12,10 @@ Board file format (UTF-8, LF or CRLF):
     board <name>                      # optional, first significant line
     pin <ID> = KIND[/DETAIL], KIND[/DETAIL], ...
 
-IDs match ``[A-Za-z][A-Za-z0-9_]*``. Kind tokens are canonicalized by
-uppercasing and mapping ``-`` to ``_``; unknown kinds are accepted. Details
-match ``[A-Za-z0-9_]+`` and default to ``-`` when omitted.
+IDs match ``[A-Za-z][A-Za-z0-9_]*``. Kind tokens match
+``[A-Za-z][A-Za-z0-9_-]*`` and are canonicalized by uppercasing and mapping
+``-`` to ``_``; unknown kinds are accepted. Details match ``[A-Za-z0-9_]+``
+and default to ``-`` when omitted.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from dataclasses import dataclass, field
 
 NO_DETAIL = "-"
 
-_CANONICAL_KIND_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
-_RAW_KIND_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+_KIND_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
 _PIN_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _DETAIL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -42,13 +42,16 @@ class BoardParseError(ValueError):
 def canonical_kind(token: str) -> str:
     """Canonicalize a function-kind token (uppercase, hyphen to underscore).
 
-    The kind vocabulary is open: any token matching the grammar is accepted.
-    Canonicalization is idempotent.
+    The kind vocabulary is open: any token matching the ASCII grammar
+    ``[A-Za-z][A-Za-z0-9_-]*`` (after stripping blanks) is accepted. The
+    grammar is checked before uppercasing, since uppercasing maps some
+    non-ASCII letters to ASCII ones ("ß" to "SS"). Canonicalization is
+    idempotent.
     """
-    canonical = token.strip().upper().replace("-", "_")
-    if not _CANONICAL_KIND_RE.match(canonical):
+    stripped = token.strip()
+    if not _KIND_RE.match(stripped):
         raise ValueError(f"invalid function kind {token!r}")
-    return canonical
+    return stripped.upper().replace("-", "_")
 
 
 @dataclass(frozen=True)
@@ -136,10 +139,10 @@ def _parse_entry(chunk: str, line_no: int, chunk_start: int) -> FunctionEntry:
     if not stripped:
         raise BoardParseError("empty function entry", line_no, col)
     kind_token, slash, detail_token = stripped.partition("/")
-    kind_token = kind_token.strip()
-    if not _RAW_KIND_RE.match(kind_token):
-        raise BoardParseError(f"invalid function kind {kind_token!r}", line_no, col)
-    kind = canonical_kind(kind_token)
+    try:
+        kind = canonical_kind(kind_token.strip())
+    except ValueError as exc:
+        raise BoardParseError(str(exc), line_no, col) from None
     if not slash:
         return FunctionEntry(kind)
     detail_token = detail_token.strip()

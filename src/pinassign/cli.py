@@ -465,6 +465,8 @@ def format_bench_table(rows: list[dict]) -> str:
 def _cmd_bench(args) -> int:
     board = _read_board(args.board)
     request = parse_request(args.request)
+    if not request.length:
+        raise ValueError("bench needs a nonempty request")
     max_len = args.max_len if args.max_len is not None else request.length
     rows = bench(board, request, max_len, _options(args))
     _show(args, rows, lambda rows: {"rows": rows}, lambda rows: print(format_bench_table(rows)))

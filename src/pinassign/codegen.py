@@ -7,13 +7,17 @@ engine, and the emitted documents are checked structurally (balanced
 delimiters, terminated clauses) plus semantically via the test suite's
 fact readers.
 
-The Prolog fact base is the one large document. Its kind and pin atoms are
-built once per board, and each pin subset's facts are written in one call,
-so a streamed document holds at most one subset's block in memory.
+Every materialized document ends in one call, _document, which runs the
+self-check and measures the UTF-8 size. The Prolog fact base is the one
+large document: its header, one block of facts per pin subset, and its rules
+are pieces written by one loop, to the caller's sink or to a buffer. Kind
+and pin atoms are built once per board, so a streamed document holds at most
+one subset's block in memory; a streamed document is not self-checked.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import re
 from dataclasses import dataclass
@@ -110,6 +114,12 @@ def _check_balanced(text: str, comment: str | None = None) -> None:
         raise AssertionError("emitted text has unbalanced delimiters")
 
 
+def _document(kind: str, text: str, items: int, comment: str | None = None) -> EmitterOutput:
+    """Self-check a materialized document and measure its UTF-8 size."""
+    _check_balanced(text, comment)
+    return EmitterOutput(kind, text, items, len(text.encode("utf-8")))
+
+
 def _atom(text: str) -> str:
     """A Prolog atom for lowercase text, quoted unless it is a plain name."""
     if _PLAIN_ATOM_RE.match(text):
@@ -131,7 +141,8 @@ def estimate_prolog_facts(board: Board, max_len: int) -> int:
 
 
 def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]:
-    """Yield each pin subset's fact lines as one block, with their count.
+    """Yield the fact base as pieces, each with its fact count: the header,
+    each pin subset's fact lines as one block, then the inference rules.
 
     Subsets run by size, then in combinations order; a subset's multisets run
     in sorted atom order. Atoms are built once per board, and kinds are
@@ -150,6 +161,11 @@ def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]
     costs = [pin.cost for pin in board.pins]
     atom = kind_atoms.__getitem__
     indices = range(len(board.pins))
+    label = board.name or "unnamed board"
+    yield (
+        f"% pin assignment fact base for {label}\n"
+        f"% config(SortedKinds, [Pins, TotalCost]) up to length {max_len}\n\n"
+    ), 0
     for k in range(1, min(max_len, len(board)) + 1):
         for subset in itertools.combinations(indices, k):
             pins = ",".join(pin_atoms[i] for i in subset)
@@ -159,6 +175,7 @@ def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]
             tail = f"],[[{pins}],{cost}]).\n"
             block = "".join([f"config([{','.join(map(atom, m))}{tail}" for m in multisets])
             yield block, len(multisets)
+    yield "\n" + PROLOG_INFERENCE_RULES, 0
 
 
 def emit_prolog(
@@ -188,31 +205,15 @@ def emit_prolog(
         if estimate > cap:
             raise EmitterCapError(estimate, cap)
 
-    chunks: list[str] = []
-    nbytes = 0
-
-    def write(piece: str) -> None:
-        nonlocal nbytes
+    out = io.StringIO() if sink is None else sink
+    nbytes = facts = 0
+    for piece, count in _iter_prolog_blocks(board, max_len):
+        out.write(piece)
         nbytes += len(piece.encode("utf-8"))
-        if sink is None:
-            chunks.append(piece)
-        else:
-            sink.write(piece)
-
-    label = board.name or "unnamed board"
-    write(f"% pin assignment fact base for {label}\n")
-    write(f"% config(SortedKinds, [Pins, TotalCost]) up to length {max_len}\n\n")
-    facts = 0
-    for block, count in _iter_prolog_blocks(board, max_len):
-        write(block)
         facts += count
-    write("\n")
-    write(PROLOG_INFERENCE_RULES)
-
-    text = "".join(chunks)
     if sink is None:
-        _check_balanced(text, comment="%")
-    return EmitterOutput("prolog", text, facts, nbytes)
+        return _document("prolog", out.getvalue(), facts, comment="%")
+    return EmitterOutput("prolog", "", facts, nbytes)
 
 
 def emit_alloy_spec(board: Board) -> EmitterOutput:
@@ -253,8 +254,7 @@ def emit_alloy_spec(board: Board) -> EmitterOutput:
         lines.append("")
 
     text = "\n".join(lines).rstrip("\n") + "\n"
-    _check_balanced(text, comment="//")
-    return EmitterOutput("alloy-spec", text, len(board.pins), len(text.encode("utf-8")))
+    return _document("alloy-spec", text, len(board.pins), comment="//")
 
 
 def _assertion(name: str, slots: tuple[str, ...], cost_term: str = "", scope: str = "") -> str:
@@ -283,8 +283,7 @@ def emit_alloy_feasibility_assertion(request: Request) -> EmitterOutput:
     if request.length < 1:
         raise ValueError("feasibility assertion needs a nonempty request")
     text = _assertion("_".join(request.slots), request.slots)
-    _check_balanced(text)
-    return EmitterOutput("alloy-assert", text, 1, len(text.encode("utf-8")))
+    return _document("alloy-assert", text, 1)
 
 
 def emit_alloy_best_assertions(
@@ -310,39 +309,22 @@ def emit_alloy_best_assertions(
         _assertion(f"{name}_COST_{bound}", request.slots, f"{cost_expr}<={bound}", scope)
         for bound in bounds
     )
-    _check_balanced(text)
-    return EmitterOutput("alloy-assert", text, len(bounds), len(text.encode("utf-8")))
+    return _document("alloy-assert", text, len(bounds))
 
 
 def emit_graph_dot(board: Board) -> EmitterOutput:
     """Emit the domain graph: virtual begin/end nodes, one node per pin
     labeled with its entries, and edges for every allowed path step (no
     self-loops; paths run begin -> pins -> end)."""
-    lines = ["digraph pin_assignment_domain {", "  rankdir=LR;"]
-    nodes = 2
-    edges = 0
-    lines.append('  n_B [label="n_B", shape=circle];')
-    lines.append('  n_E [label="n_E", shape=doublecircle];')
+    nodes = ['  n_B [label="n_B", shape=circle];', '  n_E [label="n_E", shape=doublecircle];']
     for pin in board.pins:
-        nodes += 1
         label = "\\n".join([pin.id] + [str(e) for e in pin.entries])
-        lines.append(f'  {pin.id} [shape=box, label="{label}"];')
-    if board.pins:
-        for pin in board.pins:
-            lines.append(f"  n_B -> {pin.id};")
-            edges += 1
-        for a in board.pins:
-            for b in board.pins:
-                if a.id != b.id:
-                    lines.append(f"  {a.id} -> {b.id};")
-                    edges += 1
-        for pin in board.pins:
-            lines.append(f"  {pin.id} -> n_E;")
-            edges += 1
-    else:
-        lines.append("  n_B -> n_E;")
-        edges += 1
-    lines.append("}")
-    text = "\n".join(lines) + "\n"
-    _check_balanced(text)
-    return EmitterOutput("dot", text, nodes + edges, len(text.encode("utf-8")))
+        nodes.append(f'  {pin.id} [shape=box, label="{label}"];')
+    ids = [pin.id for pin in board.pins]
+    edges = (
+        [f"  n_B -> {b};" for b in ids]
+        + [f"  {a} -> {b};" for a in ids for b in ids if a != b]
+        + [f"  {a} -> n_E;" for a in ids]
+    ) or ["  n_B -> n_E;"]
+    lines = ["digraph pin_assignment_domain {", "  rankdir=LR;", *nodes, *edges, "}"]
+    return _document("dot", "\n".join(lines) + "\n", len(nodes) + len(edges))

@@ -54,13 +54,6 @@ def merge_requests(a: Request, b: Request) -> Request:
     return Request(tuple(sorted(a.slots + b.slots)))
 
 
-def _multiset_minus(a: Counter, b: Counter) -> tuple[str, ...]:
-    out: list[str] = []
-    for kind in sorted(a):
-        out.extend([kind] * max(0, a[kind] - b[kind]))
-    return tuple(out)
-
-
 def diff_assignments(a: Assignment, b: Assignment) -> ConfigDiff:
     """Diff two assignments over the same board.
 
@@ -80,8 +73,8 @@ def diff_assignments(a: Assignment, b: Assignment) -> ConfigDiff:
     old_kinds = Counter(kind for kind, _ in old_map.values())
     new_kinds = Counter(kind for kind, _ in new_map.values())
     return ConfigDiff(
-        added_kinds=_multiset_minus(new_kinds, old_kinds),
-        removed_kinds=_multiset_minus(old_kinds, new_kinds),
+        added_kinds=tuple(sorted((new_kinds - old_kinds).elements())),
+        removed_kinds=tuple(sorted((old_kinds - new_kinds).elements())),
         pin_changes=tuple(changes),
         cost_delta=b.total_cost - a.total_cost,
     )

@@ -129,7 +129,7 @@ def test_canonical_kind_is_idempotent(token):
     assert "-" not in once
 
 
-@pytest.mark.parametrize("bad", ["", "9abc", "a b", "a/b", "-x"])
+@pytest.mark.parametrize("bad", ["", "9abc", "a b", "a/b", "-x", "ß", "ﬁ", "ı"])
 def test_invalid_kind_tokens_rejected(bad):
     with pytest.raises(ValueError):
         canonical_kind(bad)

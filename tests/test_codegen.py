@@ -366,11 +366,12 @@ def test_dot_structure_two_pins(two_pin_board):
 
 
 def test_dot_empty_board():
-    text = emit_graph_dot(Board(())).text
-    nodes, edges = _dot_counts(text)
+    output = emit_graph_dot(Board(()))
+    nodes, edges = _dot_counts(output.text)
     assert nodes == 2
     assert edges == 1
-    assert "n_B -> n_E;" in text
+    assert "n_B -> n_E;" in output.text
+    assert output.items == nodes + edges
 
 
 def test_dot_counts_formula_on_random_boards():
@@ -378,9 +379,11 @@ def test_dot_counts_formula_on_random_boards():
     for _ in range(8):
         board = random_board(rng, max_pins=6)
         n = len(board)
-        nodes, edges = _dot_counts(emit_graph_dot(board).text)
+        output = emit_graph_dot(board)
+        nodes, edges = _dot_counts(output.text)
         assert nodes == n + 2
         assert edges == n * (n - 1) + 2 * n
+        assert output.items == nodes + edges
 
 
 def test_dot_labels_list_entries(two_pin_board):
