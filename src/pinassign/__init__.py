@@ -14,7 +14,6 @@ from .board import (
     Pin,
     board_stats,
     canonical_kind,
-    cost_of,
     parse_board,
     serialize_board,
 )
@@ -38,8 +37,8 @@ from .configops import (
     extend_assignment,
     merge_requests,
 )
-from .counting import binomial, config_space, config_space_board, k_factor
-from .request import Request, RequestParseError, canonicalize, parse_request
+from .counting import config_space, config_space_board, k_factor
+from .request import Request, RequestParseError, parse_request
 from .solver import (
     AllPinsUsedWarning,
     Assignment,
@@ -52,7 +51,6 @@ from .solver import (
     SolveOptions,
     SolveOutcome,
     Witness,
-    assignment_cost,
     check_witness,
     enumerate_all,
     find_best,
@@ -88,15 +86,11 @@ __all__ = [
     "SolveOutcome",
     "Witness",
     "apply_diff",
-    "assignment_cost",
-    "binomial",
     "board_stats",
     "canonical_kind",
-    "canonicalize",
     "check_witness",
     "config_space",
     "config_space_board",
-    "cost_of",
     "diff_assignments",
     "emit_alloy_best_assertions",
     "emit_alloy_feasibility_assertion",

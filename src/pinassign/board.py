@@ -96,7 +96,7 @@ class Board:
             key = pin.id.lower()
             if key in by_id:
                 raise ValueError(f"duplicate pin id {pin.id!r}")
-            by_id[key] = (index, pin)
+            by_id[key] = index
         object.__setattr__(self, "_by_id", by_id)
 
     def __len__(self) -> int:
@@ -104,25 +104,17 @@ class Board:
 
     def pin(self, pin_id: str) -> Pin:
         """Look up a pin by id, case-insensitively."""
-        try:
-            return self._by_id[pin_id.lower()][1]
-        except KeyError:
-            raise KeyError(f"unknown pin id {pin_id!r}") from None
+        return self.pins[self.index_of(pin_id)]
 
     def index_of(self, pin_id: str) -> int:
         """Declaration index of a pin, case-insensitively."""
         try:
-            return self._by_id[pin_id.lower()][0]
+            return self._by_id[pin_id.lower()]
         except KeyError:
             raise KeyError(f"unknown pin id {pin_id!r}") from None
 
     def has_pin(self, pin_id: str) -> bool:
         return pin_id.lower() in self._by_id
-
-
-def cost_of(board: Board, pin_id: str) -> int:
-    """Number of function entries of the named pin."""
-    return board.pin(pin_id).cost
 
 
 def board_stats(board: Board) -> tuple[int, int, set[str]]:

@@ -7,8 +7,9 @@ was valid but no solution exists), 2 usage, parse, or I/O errors.
 Every subcommand but emit and graph takes --format text|json and prints
 either a text report or one structured JSON document on stdout; only the
 chosen form is built. emit and graph write their document to stdout or to
---out. Output is deterministic for fixed inputs; only bench timing fields
-vary between runs.
+--out. emit refuses a flag its target does not read, and count --board one
+of the formula flags. Output is deterministic for fixed inputs; only bench
+timing fields vary between runs.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ EXIT_OK = 0
 EXIT_INFEASIBLE = 1
 EXIT_ERROR = 2
 
-# The flags each emit target needs; emit declares them optional because the
-# targets differ.
-_EMIT_NEEDS = {
-    "prolog": ("board",),
+# The flags each emit target reads, all required but max_len; emit declares
+# them optional because the targets differ, and refuses the ones its target
+# does not read.
+_EMIT_READS = {
+    "prolog": ("board", "max_len"),
     "alloy-spec": ("board",),
     "alloy-assert": ("request",),
     "alloy-best": ("board", "request"),
@@ -110,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", metavar="FILE", help="count a concrete board instead")
 
     p = sub.add_parser("emit", help="emit a model-checking document")
-    p.add_argument("--target", required=True, choices=list(_EMIT_NEEDS))
+    p.add_argument("--target", required=True, choices=list(_EMIT_READS))
     p.add_argument("--board", metavar="FILE")
     p.add_argument("--request", metavar="LIST")
     p.add_argument("--max-len", type=int, metavar="N", help="prolog fact length bound")
@@ -147,6 +149,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_board(path: str) -> Board:
     return parse_board(Path(path).read_text(encoding="utf-8"))
+
+
+def _refuse(args, flags, user: str) -> None:
+    """Raise ValueError naming the first of flags given on the command line,
+    since user does not read it."""
+    for flag in flags:
+        if getattr(args, flag) is not None:
+            raise ValueError(f"{user} does not take --{flag.replace('_', '-')}")
 
 
 def _options(args) -> SolveOptions:
@@ -268,6 +278,7 @@ def _cmd_solve_all(args) -> int:
 
 def _cmd_count(args) -> int:
     if args.board is not None:
+        _refuse(args, ("pins", "functions", "max_len"), "count --board")
         board = _read_board(args.board)
         doc = {"mode": "board", "pins": len(board), "count": config_space_board(board)}
     elif args.pins is None or args.functions is None:
@@ -286,9 +297,12 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    for flag in _EMIT_NEEDS[args.target]:
-        if getattr(args, flag) is None:
+    reads = _EMIT_READS[args.target]
+    for flag in reads:
+        if flag != "max_len" and getattr(args, flag) is None:
             raise ValueError(f"--target {args.target} requires --{flag}")
+    unread = [flag for flag in ("board", "request", "max_len") if flag not in reads]
+    _refuse(args, unread, f"--target {args.target}")
     if args.target == "alloy-assert":
         return _write_document(args, emit_alloy_feasibility_assertion(parse_request(args.request)))
     board = _read_board(args.board)

@@ -14,15 +14,6 @@ from __future__ import annotations
 import math
 
 
-def binomial(n: int, k: int) -> int:
-    """n choose k, exactly. Zero when k > n; requires n, k >= 0."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial requires nonnegative arguments")
-    if k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def k_factor(n: int, m: int) -> int:
     """Number of distinct kind multisets of length n over m kinds.
 
@@ -31,18 +22,18 @@ def k_factor(n: int, m: int) -> int:
         k_factor(n, m) = 1 + sum(k_factor(p, m - 1) for p in 1..n)   if m > 1
         k_factor(n, 1) = 1
 
-    whose solution is the stars-and-bars closed form binomial(n + m - 1, m - 1),
+    whose solution is the stars-and-bars closed form comb(n + m - 1, m - 1),
     computed here directly (the test suite checks it against the recurrence).
     """
     if n < 1 or m < 1:
         raise ValueError("k_factor requires n >= 1 and m >= 1")
-    return binomial(n + m - 1, m - 1)
+    return math.comb(n + m - 1, m - 1)
 
 
 def config_space(n_pins: int, m: int, max_len: int) -> int:
     """Size of the configuration space: pin subsets of size 1..max_len, each
     paired with every kind multiset of matching size over m kinds, that is
-    sum(binomial(n_pins, k) * k_factor(k, m) for k in 1..max_len).
+    sum(comb(n_pins, k) * k_factor(k, m) for k in 1..max_len).
 
     Subset sizes above n_pins contribute nothing (their binomial is zero), so
     max_len larger than n_pins is permitted.
@@ -52,8 +43,7 @@ def config_space(n_pins: int, m: int, max_len: int) -> int:
     if m < 1:
         raise ValueError("m must be positive")
     return sum(
-        binomial(n_pins, k) * binomial(k + m - 1, m - 1)
-        for k in range(1, min(n_pins, max_len) + 1)
+        math.comb(n_pins, k) * k_factor(k, m) for k in range(1, min(n_pins, max_len) + 1)
     )
 
 

@@ -10,7 +10,6 @@ request against a board (quick_reject, the solves).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 from .board import canonical_kind
@@ -35,9 +34,6 @@ class Request:
     def length(self) -> int:
         return len(self.slots)
 
-    def multiplicities(self) -> Counter:
-        return Counter(self.slots)
-
 
 def parse_request(text: str) -> Request:
     """Parse a comma-separated list of kind tokens into a Request.
@@ -58,8 +54,3 @@ def parse_request(text: str) -> Request:
         except ValueError as exc:
             raise RequestParseError(str(exc)) from None
     return Request(tuple(slots))
-
-
-def canonicalize(request: Request) -> Request:
-    """Sort the request's slots into canonical order. Idempotent."""
-    return Request(request.canonical)

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator
@@ -290,7 +291,7 @@ def quick_reject(board: Board, request: Request) -> Rejection | None:
             f"{request.length} slots requested but board has {len(board)} pins"
         )
     elig = _Problem(board, request, ()).elig
-    for kind, needed in request.multiplicities().items():
+    for kind, needed in Counter(request.slots).items():
         offers = len(elig[kind])
         if offers < needed:
             if offers == 0:
@@ -341,7 +342,7 @@ def _prepare(
 
 
 def _iter_bindings(
-    problem: _Problem, owner: dict[int, int], distinct_sets: bool
+    problem: _Problem, owner: dict[int, int], semantics: Semantics
 ) -> Iterator[Assignment]:
     """Depth-first enumeration of valid assignments in lexicographic order.
 
@@ -354,12 +355,12 @@ def _iter_bindings(
     solution below it in labeled mode, and the first assignment yielded is
     the lexicographically smallest solution.
 
-    With distinct_sets, runs of equal-kind slots are forced onto strictly
-    increasing pin indices, so each (kind -> pin set) split appears once, in
-    its smallest arrangement. That floor is not part of the matching, so a
-    node may then have nothing below it. Different splits can still share a
-    pin set; a leaf whose pin set was yielded before is skipped before any
-    object is built, so each set yields its smallest binding only.
+    Unless semantics is LABELED, runs of equal-kind slots are forced onto
+    strictly increasing pin indices, so each (kind -> pin set) split appears
+    once, in its smallest arrangement. That floor is not part of the
+    matching, so a node may then have nothing below it. Different splits can
+    still share a pin set; a leaf whose pin set was yielded before is skipped
+    before any object is built, so each set yields its smallest binding only.
 
     Each solution is built from its parent node: the bound slots' shared
     Bindings and their running cost are kept beside the chosen pins, the last
@@ -380,12 +381,13 @@ def _iter_bindings(
     elig = problem.elig
     costs = problem.costs
     bindings = problem.bindings
+    distinct_sets = semantics is not Semantics.LABELED
     last = length - 1
     chosen: list[int] = []  # pins of the slots above the current node
     bound: list[Binding] = []  # their Bindings
     spent = 0  # and their total cost
     used: set[int] = set()
-    seen: set[frozenset[int]] = set()  # pin sets yielded, with distinct_sets
+    seen: set[frozenset[int]] = set()  # pin sets yielded, unless LABELED
     # One entry per open inner node, from the root down: its untried
     # candidates and the pin its slot must exceed (-1 for none).
     frames: list[tuple[Iterator[int], int]] = []
@@ -457,8 +459,7 @@ def find_feasible(
     prepared = _prepare(board, request, options)
     if isinstance(prepared, Infeasible):
         return prepared
-    problem, owner = prepared
-    return next(_iter_bindings(problem, owner, distinct_sets=False))
+    return next(_iter_bindings(*prepared, Semantics.LABELED))
 
 
 def iter_assignments(
@@ -469,10 +470,7 @@ def iter_assignments(
     prepared = _prepare(board, request, options)
     if isinstance(prepared, Infeasible):
         return
-    problem, owner = prepared
-    yield from _iter_bindings(
-        problem, owner, distinct_sets=options.semantics is not Semantics.LABELED
-    )
+    yield from _iter_bindings(*prepared, options.semantics)
 
 
 def enumerate_all(
@@ -488,8 +486,13 @@ def enumerate_all(
     options = options or SolveOptions()
     if options.enumeration_cap < 0:
         raise ValueError(f"enumeration cap must be >= 0, got {options.enumeration_cap}")
+    # _prepare directly, not through iter_assignments, so that its
+    # AllPinsUsedWarning names this function's caller.
+    prepared = _prepare(board, request, options)
+    if isinstance(prepared, Infeasible):
+        return []
     out: list[Assignment] = []
-    for assignment in iter_assignments(board, request, options):
+    for assignment in _iter_bindings(*prepared, options.semantics):
         if len(out) >= options.enumeration_cap:
             raise EnumerationLimitError(options.enumeration_cap)
         out.append(assignment)
@@ -573,8 +576,3 @@ def find_best(
         return prepared
     problem = prepared[0]
     return problem.assignment(_lex_min_cost(problem))
-
-
-def assignment_cost(board: Board, assignment: Assignment) -> int:
-    """Sum of pin costs over the assignment's used pins (each charged once)."""
-    return sum(board.pin(pin_id).cost for pin_id in sorted(assignment.used_pins))

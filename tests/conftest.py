@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,13 @@ def instance_family(seed: int, count: int, max_pins: int = 7, max_len: int = 5):
 def plain_bindings(assignment) -> tuple[tuple[int, str, str, str], ...]:
     """Solver assignment as oracle-comparable (slot, kind, pin, detail) rows."""
     return tuple((b.slot, b.kind, b.pin, b.detail) for b in assignment.bindings)
+
+
+def _k_factor_row(n, m):
+    """[k_factor(p, m) for p in 0..n] by the paper's recurrence, bottom-up over
+    the kind count: row m is 1 plus the running sums of row m - 1 (entry 0 is
+    the empty sum's 1). The reference the closed form is checked against."""
+    row = [1] * (n + 1)
+    for _ in range(m - 1):
+        row = list(accumulate(row[1:], initial=1))
+    return row

@@ -18,8 +18,6 @@ from pinassign import (
     Semantics,
     SolveOptions,
     apply_diff,
-    binomial,
-    canonicalize,
     check_witness,
     config_space,
     diff_assignments,
@@ -41,6 +39,7 @@ from best_references import best_by_enumeration, best_by_threshold
 from conftest import (
     DEMO_BOARD_PATH,
     TWO_PIN_TEXT,
+    _k_factor_row,
     instance_family,
     plain_bindings,
     random_board,
@@ -83,13 +82,13 @@ def test_c1_counting_exactness():
 
 
 def test_c2_recursion_closed_form_duality():
-    """k_factor recursion equals binomial(n+m-1, m-1) for n<=12, m<=6."""
+    """k_factor's closed form equals the paper's recursion for n<=12, m<=6."""
     start = time.monotonic()
     bad = [
         (n, m)
         for n in range(1, 13)
         for m in range(1, 7)
-        if k_factor(n, m) != binomial(n + m - 1, m - 1)
+        if k_factor(n, m) != _k_factor_row(n, m)[n]
     ]
     elapsed = time.monotonic() - start
     _report(
@@ -291,8 +290,8 @@ def test_c8_invariance_suite():
     for _ in range(1000):
         slots = tuple(rng.choice(kind_pool) for _ in range(rng.randint(0, 6)))
         request = Request(slots)
-        once = canonicalize(request)
-        if canonicalize(once) != once or sorted(once.slots) != sorted(slots):
+        once = Request(request.canonical)
+        if Request(once.canonical) != once or sorted(once.slots) != sorted(slots):
             failures.append(("canonicalize", slots))
 
     for _ in range(200):

@@ -10,7 +10,6 @@ from pinassign import (
     Pin,
     board_stats,
     canonical_kind,
-    cost_of,
     parse_board,
     serialize_board,
 )
@@ -19,22 +18,24 @@ from conftest import TWO_PIN_TEXT
 
 
 def test_reference_pins_have_expected_costs(two_pin_board):
-    assert cost_of(two_pin_board, "PA1") == 3
-    assert cost_of(two_pin_board, "PA2") == 4
+    assert two_pin_board.pin("PA1").cost == 3
+    assert two_pin_board.pin("PA2").cost == 4
 
 
 def test_single_entry_pin_costs_one():
     board = parse_board("pin PB0 = PWM/TIM3_CH3")
-    assert cost_of(board, "PB0") == 1
+    assert board.pin("PB0").cost == 1
 
 
 def test_cost_lookup_is_case_insensitive(two_pin_board):
-    assert cost_of(two_pin_board, "pa1") == 3
+    assert two_pin_board.pin("pa1").cost == 3
 
 
 def test_unknown_pin_raises(two_pin_board):
-    with pytest.raises(KeyError):
-        cost_of(two_pin_board, "PZ9")
+    with pytest.raises(KeyError, match="unknown pin id 'PZ9'"):
+        two_pin_board.pin("PZ9")
+    with pytest.raises(KeyError, match="unknown pin id 'PZ9'"):
+        two_pin_board.index_of("PZ9")
 
 
 def test_parse_preserves_declaration_order(two_pin_board):
@@ -54,7 +55,7 @@ def test_duplicate_entry_within_pin_rejected():
 
 def test_same_kind_distinct_details_allowed_and_counted():
     board = parse_board("pin PA1 = ICU/TIM2_CH2, ICU/TIM5_CH2")
-    assert cost_of(board, "PA1") == 2
+    assert board.pin("PA1").cost == 2
 
 
 def test_empty_entry_list_rejected():
@@ -175,4 +176,4 @@ def test_serialize_parse_round_trip(board):
 @given(boards())
 def test_cost_equals_entry_count_everywhere(board):
     for pin in board.pins:
-        assert cost_of(board, pin.id) == len(pin.entries) >= 1
+        assert board.pin(pin.id).cost == len(pin.entries) >= 1

@@ -230,10 +230,13 @@ def test_emit_prolog_to_file(two_pin_file, tmp_path, capsys):
 def test_failed_prolog_emit_leaves_out_file_intact(tmp_path, capsys):
     target = tmp_path / "f.pl"
     target.write_bytes(b"% kept\n")
-    argv = ["emit", "--target", "prolog", "--board", DEMO, "--max-len", "0", "--out", str(target)]
-    assert run(argv) == 2
-    assert "error: max_len must be positive" in capsys.readouterr().err
-    assert target.read_bytes() == b"% kept\n"
+    for argv, error in [
+        (["--target", "prolog", "--max-len", "0"], "max_len must be positive"),
+        (["--target", "alloy-spec", "--max-len", "2"], "--target alloy-spec does not take --max-len"),
+    ]:
+        assert run(["emit", *argv, "--board", DEMO, "--out", str(target)]) == 2
+        assert f"error: {error}" in capsys.readouterr().err
+        assert target.read_bytes() == b"% kept\n"
 
 
 def test_emit_alloy_spec(two_pin_file, capsys):

@@ -1,42 +1,14 @@
 """Configuration-space counting: worked totals, duality, brute-force equality."""
 
 import math
-from itertools import accumulate
 
 import pytest
-from hypothesis import given, strategies as st
 
-from pinassign import binomial, config_space, config_space_board, k_factor, parse_board
+from pinassign import config_space, config_space_board, k_factor, parse_board
 from pinassign.oracle import brute_force_board_space, brute_force_space
 
 import conftest
-
-
-def test_binomial_worked_values():
-    assert binomial(4, 2) == 6
-    assert binomial(5, 3) == 10  # 5!/(2!3!)
-
-
-@given(st.integers(0, 40))
-def test_binomial_n_choose_zero(n):
-    assert binomial(n, 0) == 1
-
-
-@given(st.integers(0, 30), st.integers(0, 35))
-def test_binomial_matches_factorial_formula(n, k):
-    if k > n:
-        assert binomial(n, k) == 0
-    else:
-        assert binomial(n, k) == math.factorial(n) // (
-            math.factorial(k) * math.factorial(n - k)
-        )
-
-
-def test_binomial_rejects_negative():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-    with pytest.raises(ValueError):
-        binomial(3, -2)
+from conftest import _k_factor_row
 
 
 def test_k_factor_base_case():
@@ -48,16 +20,6 @@ def test_k_factor_worked_values():
     assert k_factor(2, 3) == 6
     # direct recursion: 1 + k(1,1) + k(2,1) + k(3,1) = 4
     assert k_factor(3, 2) == 4
-
-
-def _k_factor_row(n, m):
-    """[k_factor(p, m) for p in 0..n] by the paper's recurrence, bottom-up over
-    the kind count: row m is 1 plus the running sums of row m - 1 (entry 0 is
-    the empty sum's 1). The reference the closed form is checked against."""
-    row = [1] * (n + 1)
-    for _ in range(m - 1):
-        row = list(accumulate(row[1:], initial=1))
-    return row
 
 
 def test_k_factor_equals_closed_form():
@@ -75,10 +37,10 @@ def test_config_space_equals_recurrence_sum():
             for L in range(0, n + 2):
                 top = min(n, L)
                 assert config_space(n, m, L) == sum(
-                    binomial(n, k) * row[k] for k in range(1, top + 1)
+                    math.comb(n, k) * row[k] for k in range(1, top + 1)
                 )
     row = _k_factor_row(50, 3000)
-    assert config_space(50, 3000, 50) == sum(binomial(50, k) * row[k] for k in range(1, 51))
+    assert config_space(50, 3000, 50) == sum(math.comb(50, k) * row[k] for k in range(1, 51))
 
 
 def test_k_factor_rejects_nonpositive():
@@ -99,7 +61,7 @@ def test_config_space_worked_totals():
 def test_config_space_degenerates_to_binomial_sum():
     for n in range(0, 9):
         for L in range(0, n + 2):
-            assert config_space(n, 1, L) == sum(binomial(n, k) for k in range(1, L + 1))
+            assert config_space(n, 1, L) == sum(math.comb(n, k) for k in range(1, L + 1))
 
 
 def test_config_space_matches_brute_force():

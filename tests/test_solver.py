@@ -18,7 +18,6 @@ from pinassign import (
     Request,
     Semantics,
     SolveOptions,
-    assignment_cost,
     check_witness,
     enumerate_all,
     find_best,
@@ -146,19 +145,11 @@ def test_icu_rule_turns_channel3_board_infeasible():
 def test_assignment_cost_sums_used_pins(two_pin_board):
     with pytest.warns(AllPinsUsedWarning):
         both = find_feasible(two_pin_board, parse_request("analog,analog"))
-    assert assignment_cost(two_pin_board, both) == 7
-    assert assignment_cost(two_pin_board, Assignment((), 0, two_pin_board)) == 0
+    assert both.total_cost == 7
+    assert find_feasible(two_pin_board, parse_request("")).total_cost == 0
     single = find_feasible(two_pin_board, parse_request("analog"))
     assert single.used_pins == {"PA1"}
-    assert assignment_cost(two_pin_board, single) == 3
-
-
-def test_assignment_cost_unknown_pin(two_pin_board):
-    from pinassign import Binding
-
-    bogus = Assignment((Binding(0, "ANALOG", "PZ9", "-"),), 0, two_pin_board)
-    with pytest.raises(KeyError):
-        assignment_cost(two_pin_board, bogus)
+    assert single.total_cost == 3
 
 
 def test_warning_fires_exactly_when_request_uses_every_pin(two_pin_board):
@@ -170,6 +161,17 @@ def test_warning_fires_exactly_when_request_uses_every_pin(two_pin_board):
         warnings_module.simplefilter("error")
         find_feasible(two_pin_board, parse_request("analog"))
         find_feasible(Board(()), parse_request(""))
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [find_feasible, find_best, lambda *args: list(iter_assignments(*args)), enumerate_all],
+    ids=["find_feasible", "find_best", "iter_assignments", "enumerate_all"],
+)
+def test_all_pins_used_warning_names_the_callers_line(two_pin_board, solve):
+    with pytest.warns(AllPinsUsedWarning) as record:
+        solve(two_pin_board, parse_request("analog,analog"))
+    assert [w.filename for w in record] == [__file__]
 
 
 # --- oracle spot checks (the full 200-case battery runs in the acceptance suite)
@@ -463,7 +465,7 @@ def test_streamed_assignments_equal_ones_built_from_their_pins(demo_board, optio
     for a in iter_assignments(demo_board, request, options):
         assert [b.slot for b in a.bindings] == list(range(request.length))
         assert tuple(b.kind for b in a.bindings) == request.canonical
-        assert a.total_cost == assignment_cost(demo_board, a)
+        assert a.total_cost == sum(demo_board.pin(b.pin).cost for b in a.bindings)
         assert a == problem.assignment(tuple(index[b.pin] for b in a.bindings))
         count += 1
     assert count == solutions
