@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from .configops import ConfigDiff, diff_assignments, merge_requests
 from .counting import config_space, config_space_board
 from .request import Request, parse_request
 from .solver import (
+    AllPinsUsedWarning,
     Assignment,
     EnumerationLimitError,
     Infeasible,
@@ -502,23 +504,38 @@ _COMMANDS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    """Parse argv and dispatch; returns the process exit code."""
+    """Parse argv and dispatch; returns the process exit code.
+
+    A warning is printed as one "warning: <message>" line on stderr, once
+    per distinct message, and AllPinsUsedWarning is always shown this way,
+    whatever the interpreter's warning filters say.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
-    try:
-        return _COMMANDS[args.command](args)
-    except (
-        EnumerationLimitError,
-        OSError,
-        ValueError,
-        KeyError,
-        RecursionError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    shown: set[str] = set()
+
+    def show(message, *_) -> None:
+        if str(message) not in shown:
+            shown.add(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", AllPinsUsedWarning)
+        warnings.showwarning = show
+        try:
+            return _COMMANDS[args.command](args)
+        except (
+            EnumerationLimitError,
+            OSError,
+            ValueError,
+            KeyError,
+            RecursionError,
+        ) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_ERROR
 
 
 def main() -> None:

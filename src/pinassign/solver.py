@@ -19,15 +19,19 @@ used pins, namely the smallest binding realizing that set.
 iter_assignments is a depth-first search over one kept matching of all
 slots: _prepare builds it, and a bind that takes a pin another slot holds
 either repairs it with one augmenting path (_augment, the only
-augmenting-path routine) or skips that pin. _augment keeps one set of
-blocked pins: those the caller rules out (a repair's bound pins) and every
-pin it has tried. A labeled search therefore opens no node without a
-solution below it, and find_feasible is its first solution. When the initial
-matching fails, the infeasibility witness is read from the pins that failed
-search blocked. find_best is a single weighted bipartite assignment solve
-whose weights carry the lexicographic tie-break. quick_reject reads the same
-eligibility table (_Problem.elig) to reject a request some kind of which has
-too few pins, before any search.
+augmenting-path routine) or skips that pin. Both read each slot's candidate
+pins from _Problem.options. _augment keeps one set of blocked pins: those
+the caller rules out (a repair's bound pins) and every pin it has tried. A
+labeled search therefore opens no node without a solution below it, and
+find_feasible is its first solution. When the initial matching fails, the
+infeasibility witness is read from the pins that failed search blocked.
+find_best runs the same search on a minimum-cost matching, which _augment
+builds one cost level at a time, cheapest first: the candidates are cut to
+the levels it uses, and spare slots, matched but never bound, hold the pins
+a minimum-cost assignment leaves free, so its first labeled solution of
+that cost is the answer. quick_reject reads the eligibility table
+(_Problem.elig) to reject a request some kind of which has too few pins,
+before any search.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
@@ -218,14 +222,9 @@ class _Problem:
         self.elig: dict[str, tuple[int, ...]] = {
             kind: tuple(pins) for kind, pins in supporters.items()
         }
+        # Candidate pins per slot, read by _augment and _iter_bindings.
+        self.options = [self.elig[kind] for kind in self.slots]
         self.bindings = _Bindings(self.slots, board.pins, self.detail)
-
-    def assignment(self, chosen: tuple[int, ...]) -> Assignment:
-        return Assignment(
-            tuple(map(self.bindings.__getitem__, enumerate(chosen))),
-            sum(map(self.costs.__getitem__, chosen)),
-            self.board,
-        )
 
 
 def _augment(problem: _Problem, slot: int, owner: dict[int, int], blocked: set[int]) -> bool:
@@ -237,12 +236,20 @@ def _augment(problem: _Problem, slot: int, owner: dict[int, int], blocked: set[i
     On success the path is flipped in owner; on failure owner is unchanged
     and blocked has gained every pin reachable from slot by alternating
     paths.
+
+    find_best's spare slots are numbered -1, -2, ..., so problem.options
+    reads their candidates from its end. A spare does not search on from a
+    pin another spare holds: spares of one cost level share one candidate
+    list, so that spare reaches no pin this one does not, and without the
+    skip a search could recurse once per spare.
     """
-    for p in problem.elig[problem.slots[slot]]:
+    for p in problem.options[slot]:
         if p in blocked:
             continue
         blocked.add(p)
-        if p not in owner or _augment(problem, owner[p], owner, blocked):
+        if p not in owner or (
+            (slot >= 0 or owner[p] >= 0) and _augment(problem, owner[p], owner, blocked)
+        ):
             owner[p] = slot
             return True
     return False
@@ -346,14 +353,15 @@ def _iter_bindings(
 ) -> Iterator[Assignment]:
     """Depth-first enumeration of valid assignments in lexicographic order.
 
-    owner is a matching of all slots (pin -> slot), as _prepare builds it.
-    The search keeps it a matching whose bound slots sit on their chosen
-    pins: binding slot i to pin p frees i's pin, and if an unbound slot j
-    held p, one _augment from j either moves j elsewhere or proves that no
-    solution uses p for slot i, which is then skipped with owner unchanged.
-    Unbinding leaves i on p, still a matching. So every opened node has a
-    solution below it in labeled mode, and the first assignment yielded is
-    the lexicographically smallest solution.
+    owner is a matching of all slots (pin -> slot), as _prepare builds it;
+    find_best's also holds spare slots past the request's, which are matched
+    but never bound. The search keeps it a matching whose bound slots sit on
+    their chosen pins: binding slot i to pin p frees i's pin, and if an
+    unbound slot j held p, one _augment from j either moves j elsewhere or
+    proves that no solution uses p for slot i, which is then skipped with
+    owner unchanged. Unbinding leaves i on p, still a matching. So every
+    opened node has a solution below it in labeled mode, and the first
+    assignment yielded is the lexicographically smallest solution.
 
     Unless semantics is LABELED, runs of equal-kind slots are forced onto
     strictly increasing pin indices, so each (kind -> pin set) split appears
@@ -378,7 +386,7 @@ def _iter_bindings(
     if length == 0:
         yield Assignment((), 0, board)
         return
-    elig = problem.elig
+    options = problem.options
     costs = problem.costs
     bindings = problem.bindings
     distinct_sets = semantics is not Semantics.LABELED
@@ -398,7 +406,7 @@ def _iter_bindings(
         floor = chosen[-1] if distinct_sets and i > 0 and slots[i - 1] == kind else -1
         if i == last:
             prefix = tuple(bound)
-            for p in elig[kind]:
+            for p in options[i]:
                 if p > floor and p not in used:
                     if distinct_sets:
                         key = frozenset((*chosen, p))
@@ -407,8 +415,8 @@ def _iter_bindings(
                         seen.add(key)
                     yield Assignment((*prefix, bindings[i, p]), spent + costs[p], board)
         else:
-            frames.append((iter(elig[kind]), floor))
-            mine = next(p for p in elig[kind] if owner.get(p) == i)  # i's pin in owner
+            frames.append((iter(options[i]), floor))
+            mine = next(p for p in options[i] if owner.get(p) == i)  # i's pin in owner
         # Bind the deepest open node's next candidate, closing exhausted nodes.
         while frames:
             candidates, floor = frames[-1]
@@ -499,80 +507,61 @@ def enumerate_all(
     return out
 
 
-def _lex_min_cost(problem: _Problem) -> tuple[int, ...]:
-    """Pin tuple of the minimum-cost assignment, ties broken lexicographically.
-
-    One Kuhn-Munkres solve with Jonker-Volgenant shortest augmenting paths,
-    over the eligible edges only. With P pins and L slots, slot i on pin p
-    weighs cost(p) * P**L + p * P**(L-1-i). The second terms of an assignment
-    spell its pin tuple in base P and sum to less than P**L, so weights order
-    assignments by (cost, pin tuple) and the minimum-weight matching is
-    unique. Python ints keep the weights exact. The caller guarantees that a
-    matching saturating every slot exists (_prepare checks it).
-    """
-    slots = problem.slots
-    length = len(slots)
-    n_pins = len(problem.costs)
-    scale = n_pins**length
-    weights: list[dict[int, int]] = []
-    for i, kind in enumerate(slots):
-        place = n_pins ** (length - 1 - i)
-        weights.append({p: problem.costs[p] * scale + p * place for p in problem.elig[kind]})
-    # Insert slots one at a time. Each insertion grows a shortest-path tree
-    # from the new slot (Dijkstra on the reduced weights w - u[slot] - v[pin],
-    # which the potentials keep nonnegative) until it reaches a free pin, then
-    # flips the matching along that path.
-    root = n_pins  # virtual column holding the slot being inserted
-    u = [0] * length
-    v = [0] * (n_pins + 1)
-    owner: list[int | None] = [None] * (n_pins + 1)  # slot matched to each pin
-    for slot in range(length):
-        owner[root] = slot
-        way: dict[int, int] = {}
-        slack: dict[int, int] = {}
-        done = {root}  # columns on the shortest-path tree
-        col = root
-        while True:
-            row = owner[col]
-            for p, w in weights[row].items():
-                if p in done:
-                    continue
-                cur = w - u[row] - v[p]
-                if p not in slack or cur < slack[p]:
-                    slack[p] = cur
-                    way[p] = col
-            col = min(slack, key=slack.__getitem__)
-            delta = slack.pop(col)
-            for q in done:
-                u[owner[q]] += delta
-                v[q] -= delta
-            for q in slack:
-                slack[q] -= delta
-            if owner[col] is None:
-                break
-            done.add(col)
-        while col != root:
-            prev = way[col]
-            owner[col] = owner[prev]
-            col = prev
-    chosen = [0] * length
-    for p in range(n_pins):
-        if owner[p] is not None:
-            chosen[owner[p]] = p
-    return tuple(chosen)
-
-
 def find_best(
     board: Board, request: Request, options: SolveOptions | None = None
 ) -> SolveOutcome:
     """Return the minimum-total-cost assignment, ties broken lexicographically.
 
-    Solved exactly by one weighted bipartite assignment whose weights encode
-    the lexicographic tie-break.
+    A pin costs the same whichever slot it serves, so the pin sets of full
+    matchings are the bases of a transversal matroid, and the greedy rule
+    (Edmonds 1971) finds a cheapest one: _augment inserts the slots one cost
+    level at a time, cheapest first, with dearer pins blocked. After level c
+    the matching holds as many pins of cost <= c as any matching can, and a
+    matched pin stays matched, so no assignment is cheaper. By the same
+    count, every minimum-cost assignment uses the same number of pins of
+    each cost.
+
+    The search then reads candidate lists cut to the levels that matching
+    uses, and owner gains one spare slot per free pin of a used level,
+    eligible for every pin of that level. The spares leave the real slots
+    as many pins of each level as the matching uses, no more, so the real
+    slots of any matching of slots and spares form a minimum-cost
+    assignment, and every minimum-cost assignment extends to such a
+    matching. The enumerator's repairs therefore keep one below every open
+    node; spares are matched but never bound. The answer is the first
+    labeled solution costing as much as the matching: the last slot is
+    yielded without a repair, and that filter stands in for one.
     """
     options = options or SolveOptions()
     prepared = _prepare(board, request, options)
     if isinstance(prepared, Infeasible):
         return prepared
     problem = prepared[0]
-    return problem.assignment(_lex_min_cost(problem))
+    costs = problem.costs
+    pins = sorted({p for supporters in problem.elig.values() for p in supporters})
+    owner: dict[int, int] = {}
+    waiting = list(range(len(problem.slots)))
+    for level in sorted({costs[p] for p in pins}):
+        dearer = [p for p in pins if costs[p] > level]
+        # A failed search's blocked pins stay unreachable until one succeeds.
+        blocked = set(dearer)
+        left = []
+        for slot in waiting:
+            if _augment(problem, slot, owner, blocked):
+                blocked = set(dearer)
+            else:
+                left.append(slot)
+        waiting = left
+    best = sum(map(costs.__getitem__, owner))
+    levels = {costs[p] for p in owner}
+    cut = {kind: [p for p in elig if costs[p] in levels] for kind, elig in problem.elig.items()}
+    problem.options = [cut[kind] for kind in problem.slots]
+    spares = []  # the candidates of spare slots -1, -2, ...
+    for level in sorted(levels):
+        level_pins = [p for p in pins if costs[p] == level]
+        for p in level_pins:
+            if p not in owner:
+                spares.append(level_pins)
+                owner[p] = -len(spares)
+    problem.options += reversed(spares)
+    return next(a for a in _iter_bindings(problem, owner, Semantics.LABELED) if a.total_cost == best)

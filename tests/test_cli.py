@@ -3,10 +3,14 @@
 import io
 import json
 import math
+import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -377,6 +381,42 @@ def test_repeat_invocations_byte_identical(two_pin_file, capsys):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
+
+
+ALL_PINS_USED = (
+    "warning: request length equals the board's pin count; "
+    "an assignment would leave no pin free"
+)
+
+
+@pytest.mark.parametrize("action", ["default", "ignore", "error"])
+@pytest.mark.parametrize(
+    "command, shown",
+    [("solve", "feasible, cost 7"), ("bench", "     2        1        2      7      7")],
+    ids=["solve", "bench"],
+)
+def test_all_pins_used_is_one_warning_line(two_pin_file, capsys, action, command, shown):
+    """Whatever the warning filters say, a full-board request gets one
+    warning line (bench solves that request four times) and no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        code = run([command, "--board", two_pin_file, "--request", "analog,analog"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err.splitlines() == [ALL_PINS_USED]
+    assert shown in captured.out
+
+
+def test_all_pins_used_under_python_w_error(two_pin_file):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    argv = ["solve", "--board", two_pin_file, "--request", "analog,analog"]
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "pinassign", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (result.returncode, result.stderr.splitlines()) == (0, [ALL_PINS_USED])
+    assert "feasible, cost 7" in result.stdout
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import warnings
 
 import pytest
@@ -29,11 +30,11 @@ from pinassign import (
 )
 from pinassign.cli import run
 from pinassign import solver
-from pinassign.solver import _lex_min_cost, _Problem
+from pinassign.solver import _Problem
 from pinassign.oracle import brute_force_solve
 
 from best_references import best_by_enumeration, best_by_threshold
-from conftest import instance_family, plain_bindings, random_board, random_request
+from conftest import KIND_POOL, instance_family, plain_bindings, random_board, random_request
 
 LABELED = SolveOptions(semantics=Semantics.LABELED)
 
@@ -208,6 +209,9 @@ def test_oracle_equivalence_with_icu_rule():
         if expected.min_cost is None:
             assert isinstance(outcome, Infeasible)
         else:
+            # the lexicographically first labeled solution of minimum cost
+            first_best = expected.labeled[expected.costs.index(expected.min_cost)]
+            assert plain_bindings(outcome) == first_best, (board, request)
             assert outcome.total_cost == expected.min_cost
 
 
@@ -224,22 +228,28 @@ def test_best_strategies_agree_on_family():
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
 def test_min_cost_matching_primitive_against_permutations():
+    """find_best's pin tuple is the smallest (cost, pin tuple) over every
+    eligible permutation of pins, with and without a rule."""
     rng = random.Random(99)
     checked = 0
     for _ in range(60):
         board = random_board(rng, max_pins=6)
         request = random_request(rng, board, max_len=4)
-        problem = _Problem(board, request, ())
-        candidates = [
-            (sum(board.pins[p].cost for p in pins), pins)
-            for pins in itertools.permutations(range(len(board.pins)), len(problem.slots))
-            if all(p in problem.elig[k] for k, p in zip(problem.slots, pins))
-        ]
-        if not candidates:
-            continue  # the primitive requires a matching that saturates every slot
-        assert _lex_min_cost(problem) == min(candidates)[1], (board, request)
-        checked += 1
-    assert checked >= 30
+        for rules in ((), (icu_channel_rule(),)):
+            problem = _Problem(board, request, rules)
+            candidates = [
+                (sum(board.pins[p].cost for p in pins), pins)
+                for pins in itertools.permutations(range(len(board.pins)), len(problem.slots))
+                if all(p in problem.elig[k] for k, p in zip(problem.slots, pins))
+            ]
+            outcome = find_best(board, request, SolveOptions(rules=rules))
+            if not candidates:
+                assert isinstance(outcome, Infeasible), (board, request, rules)
+                continue
+            pins = tuple(board.index_of(b.pin) for b in outcome.bindings)
+            assert pins == min(candidates)[1], (board, request, rules)
+            checked += 1
+    assert checked >= 50
 
 
 # --- invariants
@@ -395,14 +405,16 @@ def test_enumeration_deeper_than_the_recursion_limit(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("1 solutions (pinsets)")
 
 
-def _count_augments(monkeypatch) -> list[int]:
+def _count_augments(monkeypatch, limit: int | None = None) -> list[int]:
     """Count solver._augment calls, recursive ones included (they go through
-    the module name); the one-item list holds the running count."""
+    the module name); the one-item list holds the running count. Past limit
+    calls the count fails at once, so a search that lost a prune ends."""
     augment = solver._augment
     count = [0]
 
     def counted(*args):
         count[0] += 1
+        assert limit is None or count[0] <= limit, f"more than {limit} _augment calls"
         return augment(*args)
 
     monkeypatch.setattr(solver, "_augment", counted)
@@ -449,6 +461,53 @@ def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
     assert first == find_feasible(board, request)
 
 
+def _planted_instance(rng, n_pins, length):
+    """Pins of 1-6 distinct kinds (so costs 1-6), and a request served by
+    `length` distinct pins, one offered kind each."""
+    pins = tuple(
+        Pin(
+            f"P{i}",
+            tuple(
+                FunctionEntry(kind, f"D{rng.randint(0, 99)}")
+                for kind in rng.sample(KIND_POOL, rng.randint(1, 6))
+            ),
+        )
+        for i in range(n_pins)
+    )
+    chosen = rng.sample(range(n_pins), length)
+    return Board(pins), Request(tuple(rng.choice(pins[p].kinds()) for p in chosen))
+
+
+def test_best_search_call_count(monkeypatch):
+    """find_best's _augment calls on one 64x24 board, _prepare's matching and
+    the cost-level matching included. The spare slots make each repair see
+    the cost bound, so no open node lacks a minimum-cost solution below it;
+    without them the search still ends on this answer, but only after
+    millions of calls. The count pins today's search exactly."""
+    board, request = _planted_instance(random.Random(7), 64, 24)
+    count = _count_augments(monkeypatch, limit=10_000)
+    best = find_best(board, request)
+    assert count[0] == 380
+    assert best.total_cost == 38
+    assert [b.pin for b in best.bindings] == [
+        "P20", "P23", "P51", "P54", "P1", "P14", "P35", "P18", "P28", "P32", "P34", "P44",
+        "P52", "P3", "P62", "P8", "P19", "P24", "P11", "P16", "P2", "P4", "P9", "P27",
+    ]
+
+
+def test_best_search_does_not_recurse_once_per_spare():
+    """Pins P0.. cost 2 and the last pin Q costs 1, so the cheapest pair
+    leaves every P pin but one to a spare slot. Binding slot 0 to P0 must
+    move slot 1 to Q; a search that went on from one spare's pin to the
+    next would recurse once per spare, past Python's recursion limit."""
+    n = sys.getrecursionlimit() + 100
+    pins = tuple(Pin(f"P{j}", (FunctionEntry("ANALOG"), FunctionEntry("PWM"))) for j in range(n))
+    board = Board(pins + (Pin("Q", (FunctionEntry("ANALOG"),)),))
+    best = find_best(board, parse_request("analog,analog"))
+    assert [b.pin for b in best.bindings] == ["P0", "Q"]
+    assert best.total_cost == 3
+
+
 @pytest.mark.parametrize(
     "options, solutions", [(SolveOptions(), 588), (LABELED, 136_800)], ids=["pinsets", "labeled"]
 )
@@ -465,8 +524,13 @@ def test_streamed_assignments_equal_ones_built_from_their_pins(demo_board, optio
     for a in iter_assignments(demo_board, request, options):
         assert [b.slot for b in a.bindings] == list(range(request.length))
         assert tuple(b.kind for b in a.bindings) == request.canonical
-        assert a.total_cost == sum(demo_board.pin(b.pin).cost for b in a.bindings)
-        assert a == problem.assignment(tuple(index[b.pin] for b in a.bindings))
+        pins = [index[b.pin] for b in a.bindings]
+        built = Assignment(
+            tuple(problem.bindings[i, p] for i, p in enumerate(pins)),
+            sum(demo_board.pins[p].cost for p in pins),
+            demo_board,
+        )
+        assert a == built
         count += 1
     assert count == solutions
 
