@@ -43,7 +43,6 @@ from .solver import (
     AllPinsUsedWarning,
     Assignment,
     Binding,
-    EligibilityRule,
     EnumerationLimitError,
     Infeasible,
     Rejection,
@@ -55,7 +54,6 @@ from .solver import (
     enumerate_all,
     find_best,
     find_feasible,
-    icu_channel_rule,
     iter_assignments,
     quick_reject,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "BoardParseError",
     "ConfigDiff",
     "DEFAULT_FACT_CAP",
-    "EligibilityRule",
     "EmitterCapError",
     "EmitterOutput",
     "EnumerationLimitError",
@@ -102,7 +99,6 @@ __all__ = [
     "extend_assignment",
     "find_best",
     "find_feasible",
-    "icu_channel_rule",
     "iter_assignments",
     "k_factor",
     "merge_requests",

@@ -15,7 +15,14 @@ Board file format (UTF-8, LF or CRLF):
 IDs match ``[A-Za-z][A-Za-z0-9_]*``. Kind tokens match
 ``[A-Za-z][A-Za-z0-9_-]*`` and are canonicalized by uppercasing and mapping
 ``-`` to ``_``; unknown kinds are accepted. Details match ``[A-Za-z0-9_]+``
-and default to ``-`` when omitted.
+and default to ``-`` when omitted. One leading byte-order mark is dropped.
+
+A Board checks this grammar itself, however it was built: every pin id,
+canonical kind (``[A-Z][A-Z0-9_]*``) and detail, at least one entry per pin,
+no repeated entry on a pin, no repeated id, and no line break in the name.
+parse_board reports the same faults first, with their line and column. So
+every token a consumer of a Board writes comes from this grammar, and only
+the name is free text.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from dataclasses import dataclass, field
 NO_DETAIL = "-"
 
 _KIND_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+CANONICAL_KIND_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
 _PIN_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _DETAIL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -91,8 +99,21 @@ class Board:
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.name is not None and ("\n" in self.name or "\r" in self.name):
+            raise ValueError(f"board name {self.name!r} contains a line break")
         by_id = {}
         for index, pin in enumerate(self.pins):
+            if not _PIN_ID_RE.match(pin.id):
+                raise ValueError(f"invalid pin id {pin.id!r}")
+            if not pin.entries:
+                raise ValueError(f"pin {pin.id} has no entries")
+            for e in pin.entries:
+                if not CANONICAL_KIND_RE.match(e.kind):
+                    raise ValueError(f"pin {pin.id}: kind {e.kind!r} is not canonical")
+                if e.detail != NO_DETAIL and not _DETAIL_RE.match(e.detail):
+                    raise ValueError(f"pin {pin.id}: invalid detail {e.detail!r}")
+            if len(set(pin.entries)) < len(pin.entries):
+                raise ValueError(f"pin {pin.id} repeats an entry")
             key = pin.id.lower()
             if key in by_id:
                 raise ValueError(f"duplicate pin id {pin.id!r}")
@@ -173,12 +194,13 @@ def parse_board(text: str) -> Board:
     """Parse a board document, preserving pin declaration order.
 
     Raises BoardParseError on syntax errors, duplicate pin ids (compared
-    case-insensitively), duplicate (kind, detail) pairs within one pin, and
-    empty entry lists.
+    case-insensitively), duplicate (kind, detail) pairs within one pin,
+    empty entry lists, and a carriage return inside the board name.
     """
     name: str | None = None
     pins: list[Pin] = []
     seen_ids: set[str] = set()
+    text = text.removeprefix("\ufeff")
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].rstrip("\r").rstrip()
         if not line.strip():
@@ -191,6 +213,9 @@ def parse_board(text: str) -> Board:
                     "board header must be the first significant line", line_no, indent + 1
                 )
             name = stripped[5:].strip()
+            if "\r" in name:  # the name ends the line, so its last \r is in it
+                column = line.rindex("\r") + 1
+                raise BoardParseError("carriage return in board name", line_no, column)
             continue
         if stripped.startswith("pin") and len(stripped) > 3 and stripped[3].isspace():
             pin = _parse_pin_line(line, line_no, indent + 3)

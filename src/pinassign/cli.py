@@ -161,10 +161,6 @@ def _refuse(args, flags, user: str) -> None:
             raise ValueError(f"{user} does not take --{flag.replace('_', '-')}")
 
 
-def _options(args) -> SolveOptions:
-    return SolveOptions(rules=tuple(RULES_BY_NAME[name]() for name in args.rule))
-
-
 def _show(args, value, doc, text) -> None:
     """Report value in the --format asked for: print the JSON document
     doc(value), or let text(value) print the text report. Only the chosen
@@ -178,10 +174,8 @@ def _show(args, value, doc, text) -> None:
 def _outcome_doc(outcome: SolveOutcome) -> dict:
     """The JSON document of a solve outcome, feasible or not."""
     if isinstance(outcome, Infeasible):
-        doc = {"status": "infeasible", "reason": outcome.reason}
-        if outcome.witness is not None:
-            doc["witness"] = asdict(outcome.witness)
-        return doc
+        witness = asdict(outcome.witness)
+        return {"status": "infeasible", "reason": outcome.reason, "witness": witness}
     return {
         "status": "feasible",
         "assignment": [
@@ -195,13 +189,9 @@ def _outcome_doc(outcome: SolveOutcome) -> dict:
 def _outcome_text(outcome: SolveOutcome) -> None:
     """Print the text report of a solve outcome, feasible or not."""
     if isinstance(outcome, Infeasible):
+        w = outcome.witness
         print(f"infeasible: {outcome.message}")
-        if outcome.witness is not None:
-            w = outcome.witness
-            print(
-                f"  witness: {w.demanded} x {{{', '.join(w.kinds)}}} "
-                f"vs pins {{{', '.join(w.pins)}}}"
-            )
+        print(f"  witness: {w.demanded} x {{{', '.join(w.kinds)}}} vs pins {{{', '.join(w.pins)}}}")
     else:
         print(f"feasible, cost {outcome.total_cost}")
         for b in outcome.bindings:
@@ -248,7 +238,7 @@ def _cmd_solve(args) -> int:
     solve = find_best if args.command == "solve-best" else find_feasible
     board = _read_board(args.board)
     request = parse_request(args.request)
-    outcome = solve(board, request, _options(args))
+    outcome = solve(board, request, SolveOptions(rules=tuple(args.rule)))
     _show(args, outcome, _outcome_doc, _outcome_text)
     return EXIT_INFEASIBLE if isinstance(outcome, Infeasible) else EXIT_OK
 
@@ -256,7 +246,7 @@ def _cmd_solve(args) -> int:
 def _cmd_solve_all(args) -> int:
     board = _read_board(args.board)
     request = parse_request(args.request)
-    options = SolveOptions(Semantics(args.semantics), _options(args).rules, args.cap)
+    options = SolveOptions(Semantics(args.semantics), tuple(args.rule), args.cap)
     assignments = enumerate_all(board, request, options)
 
     def doc(assignments) -> dict:
@@ -356,7 +346,7 @@ def _cmd_diff(args) -> int:
     if len(args.request) != 2:
         raise ValueError("diff needs exactly two --request values")
     board = _read_board(args.board)
-    options = _options(args)
+    options = SolveOptions(rules=tuple(args.rule))
     outcomes = [find_best(board, parse_request(text), options) for text in args.request]
     for text, outcome in zip(args.request, outcomes):
         if isinstance(outcome, Infeasible):
@@ -484,7 +474,7 @@ def _cmd_bench(args) -> int:
     if not request.length:
         raise ValueError("bench needs a nonempty request")
     max_len = args.max_len if args.max_len is not None else request.length
-    rows = bench(board, request, max_len, _options(args))
+    rows = bench(board, request, max_len, SolveOptions(rules=tuple(args.rule)))
     _show(args, rows, lambda rows: {"rows": rows}, lambda rows: print(format_bench_table(rows)))
     return EXIT_OK
 

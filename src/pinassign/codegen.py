@@ -3,23 +3,29 @@
 The emitters translate a pin table (and a request, for assertions) into
 external notations so the same instances can be fed to off-the-shelf
 analyzers. Nothing here executes those tools; the native solver is the
-engine, and the emitted documents are checked structurally (balanced
-delimiters, terminated clauses) plus semantically via the test suite's
-fact readers.
+engine, and the test suite reads the emitted documents back to check them.
 
-Every materialized document ends in one call, _document, which runs the
-self-check and measures the UTF-8 size. The Prolog fact base is the one
-large document: its header, one block of facts per pin subset, and its rules
-are pieces written by one loop, to the caller's sink or to a buffer. Kind
-and pin atoms are built once per board, so a streamed document holds at most
-one subset's block in memory; a streamed document is not self-checked.
+Every token an emitter writes comes from the file grammar that Board and
+Request enforce on construction (ids, canonical kinds, details), and the one
+free text, the board name, only lands in comment lines, which a Board keeps
+free of line breaks. So no emitted document can have an unbalanced
+delimiter or an unterminated quote, and none is checked for one. What the
+grammar does not rule out is refused with ValueError: DOT keywords and the
+virtual node names as pin ids, and Alloy signature names that collide or
+do not start with a letter.
+
+Every materialized document ends in one call, _document, which measures its
+UTF-8 size. The Prolog fact base is the one large document: its header, one
+block of facts per pin subset, and its rules are pieces written by one loop,
+to the caller's sink or to a buffer. Kind and pin atoms are built once per
+board, so a streamed document holds at most one subset's block in memory.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
-import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -28,12 +34,8 @@ from .request import Request
 
 DEFAULT_FACT_CAP = 5_000_000
 
-_PLAIN_ATOM_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-# _check_balanced: a quoted literal, the bytes that are not delimiters, and
-# each closing delimiter's opener.
-_QUOTED = r"'[^'\n]*'|\"[^\"\n]*\""
-_NOT_DELIMITERS = bytes(sorted(set(range(256)) - set(b"()[]{}")))
-_OPENER = dict(zip(b")]}", b"([{"))
+# DOT's keywords, which it reads in any case.
+_DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
 
 PROLOG_INFERENCE_RULES = """\
 getConfig(RequiredConfiguration, Pair) :-
@@ -90,41 +92,9 @@ class EmitterOutput:
     nbytes: int
 
 
-def _check_balanced(text: str, comment: str | None = None) -> None:
-    """Emitter self-check: delimiters balance outside quoted literals.
-
-    A quoted literal runs from ' or " to the same character on the same
-    line. Lines starting with the target's comment marker (after blanks) are
-    skipped; they may quote arbitrary board names.
-    """
-    # One regex pass drops the comment lines and quoted spans. The "\n" put
-    # in front lets a first-line comment match, and lets the regex engine
-    # skip ahead to the characters its alternatives start with.
-    hidden = rf"\n\s*{re.escape(comment)}.*|{_QUOTED}" if comment else _QUOTED
-    rest = re.sub(hidden, "", "\n" + text)
-    if "'" in rest or '"' in rest:
-        raise AssertionError("emitted text has an unterminated quote")
-    stack: list[int] = []
-    for ch in rest.encode("utf-8").translate(None, _NOT_DELIMITERS):
-        if ch not in _OPENER:
-            stack.append(ch)
-        elif not stack or stack.pop() != _OPENER[ch]:
-            raise AssertionError("emitted text has unbalanced delimiters")
-    if stack:
-        raise AssertionError("emitted text has unbalanced delimiters")
-
-
-def _document(kind: str, text: str, items: int, comment: str | None = None) -> EmitterOutput:
-    """Self-check a materialized document and measure its UTF-8 size."""
-    _check_balanced(text, comment)
+def _document(kind: str, text: str, items: int) -> EmitterOutput:
+    """A materialized document with its UTF-8 size."""
     return EmitterOutput(kind, text, items, len(text.encode("utf-8")))
-
-
-def _atom(text: str) -> str:
-    """A Prolog atom for lowercase text, quoted unless it is a plain name."""
-    if _PLAIN_ATOM_RE.match(text):
-        return text
-    return f"'{text}'"
 
 
 def estimate_prolog_facts(board: Board, max_len: int) -> int:
@@ -150,13 +120,14 @@ def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]
     are already in the order msort gives a query: the standard order of
     terms compares atoms by character codes, and since "_" (95) is written
     as "-" (45), kind-name order can differ (CAN_TX > CANX, but
-    'can-tx' @< canx).
+    'can-tx' @< canx). A lowercased pin id is a plain atom, and so is a kind's
+    text unless it holds a "-", which needs quotes.
     """
     texts = {kind: kind.lower().replace("_", "-") for pin in board.pins for kind in pin.kinds()}
     kinds = sorted(texts, key=texts.__getitem__)
     rank = {kind: r for r, kind in enumerate(kinds)}
-    kind_atoms = [_atom(texts[kind]) for kind in kinds]
-    pin_atoms = [_atom(pin.id.lower()) for pin in board.pins]
+    kind_atoms = [f"'{texts[k]}'" if "-" in texts[k] else texts[k] for k in kinds]
+    pin_atoms = [pin.id.lower() for pin in board.pins]
     pin_ranks = [sorted({rank[kind] for kind in pin.kinds()}) for pin in board.pins]
     costs = [pin.cost for pin in board.pins]
     atom = kind_atoms.__getitem__
@@ -212,14 +183,30 @@ def emit_prolog(
         nbytes += len(piece.encode("utf-8"))
         facts += count
     if sink is None:
-        return _document("prolog", out.getvalue(), facts, comment="%")
+        return _document("prolog", out.getvalue(), facts)
     return EmitterOutput("prolog", "", facts, nbytes)
 
 
 def emit_alloy_spec(board: Board) -> EmitterOutput:
     """Emit the Alloy instance model: abstract Pin/ConnType/ConnDetail
     signatures plus one singleton signature per pin carrying its connection
-    types, details, and cost."""
+    types, details, and cost.
+
+    Raises ValueError when two signatures would share a name (a pin, kind or
+    detail named alike, or named like a built-in signature) or a detail does
+    not start with a letter, as an Alloy name must.
+    """
+    kinds = sorted({e.kind for pin in board.pins for e in pin.entries})
+    details = sorted(
+        {e.detail for pin in board.pins for e in pin.entries if e.detail != NO_DETAIL}
+    )
+    names = ["Pin", "ConnType", "ConnDetail", "Int", *kinds, *details, *(p.id for p in board.pins)]
+    ((name, count),) = Counter(names).most_common(1)
+    if count > 1:
+        raise ValueError(f"Alloy signature name {name!r} is declared twice")
+    for detail in details:
+        if not detail[0].isalpha():
+            raise ValueError(f"detail {detail!r} must start with a letter to be an Alloy name")
     lines: list[str] = []
     label = board.name or "unnamed board"
     lines.append(f"// pin capability model for {label}")
@@ -232,10 +219,6 @@ def emit_alloy_spec(board: Board) -> EmitterOutput:
     lines.append("}")
     lines.append("")
 
-    kinds = sorted({e.kind for pin in board.pins for e in pin.entries})
-    details = sorted(
-        {e.detail for pin in board.pins for e in pin.entries if e.detail != NO_DETAIL}
-    )
     for kind in kinds:
         lines.append(f"one sig {kind} extends ConnType {{}}")
     for detail in details:
@@ -254,7 +237,7 @@ def emit_alloy_spec(board: Board) -> EmitterOutput:
         lines.append("")
 
     text = "\n".join(lines).rstrip("\n") + "\n"
-    return _document("alloy-spec", text, len(board.pins), comment="//")
+    return _document("alloy-spec", text, len(board.pins))
 
 
 def _assertion(name: str, slots: tuple[str, ...], cost_term: str = "", scope: str = "") -> str:
@@ -315,7 +298,15 @@ def emit_alloy_best_assertions(
 def emit_graph_dot(board: Board) -> EmitterOutput:
     """Emit the domain graph: virtual begin/end nodes, one node per pin
     labeled with its entries, and edges for every allowed path step (no
-    self-loops; paths run begin -> pins -> end)."""
+    self-loops; paths run begin -> pins -> end).
+
+    Pin ids are written as bare DOT IDs, so a pin named like a DOT keyword
+    (which DOT reads as one in any case) or like a virtual node is refused
+    with ValueError.
+    """
+    for pin in board.pins:
+        if pin.id.lower() in _DOT_KEYWORDS or pin.id in ("n_B", "n_E"):
+            raise ValueError(f"pin id {pin.id!r} is a DOT keyword or virtual node name")
     nodes = ['  n_B [label="n_B", shape=circle];', '  n_E [label="n_E", shape=doublecircle];']
     for pin in board.pins:
         label = "\\n".join([pin.id] + [str(e) for e in pin.entries])

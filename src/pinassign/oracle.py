@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .board import Board
 from .request import Request
+from .solver import rule_patterns
 
 MAX_PINS = 8
 MAX_SLOTS = 6
@@ -47,20 +48,22 @@ class OracleResult:
 def brute_force_solve(board: Board, request: Request, rules=()) -> OracleResult:
     """Enumerate every injective slot-to-pin map and filter by eligibility.
 
-    rules: objects with a predicate(pin, entry, kind) callable, applied the
-    same way the solver defines eligibility (restriction only).
+    rules: names of solver.RULES_BY_NAME. An entry serves a kind iff it has
+    that kind and its detail matches every pattern the rules impose on the
+    kind (restriction only, as the solver defines eligibility).
     """
     if len(board) > MAX_PINS or request.length > MAX_SLOTS:
         raise InstanceTooLargeError(
             f"brute force capped at {MAX_PINS} pins and {MAX_SLOTS} slots"
         )
     kinds = request.canonical
+    patterns = rule_patterns(rules)
 
     def eligible_details(pin, kind):
         return sorted(
             e.detail
             for e in pin.entries
-            if e.kind == kind and all(r.predicate(pin, e, kind) for r in rules)
+            if e.kind == kind and all(r.fullmatch(e.detail) for k, r in patterns if k == kind)
         )
 
     labeled = []

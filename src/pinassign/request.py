@@ -4,15 +4,16 @@ A request lists the kinds the board must serve, one slot per kind occurrence
 ("analog, analog, icu" asks for two analog-capable pins and one ICU-capable
 pin, all distinct). Slot order as entered is preserved, but all solving is
 defined over the canonical form: the same multiset sorted by kind name.
-This module only parses and canonicalizes; the solver module checks a
-request against a board (quick_reject, the solves).
+A Request holds canonical kinds only (``[A-Z][A-Z0-9_]*``, as on a Board),
+however it was built. This module only parses and canonicalizes; the solver
+module checks a request against a board (quick_reject, the solves).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .board import canonical_kind
+from .board import CANONICAL_KIND_RE, canonical_kind
 
 
 class RequestParseError(ValueError):
@@ -24,6 +25,11 @@ class Request:
     """A multiset of requested function kinds."""
 
     slots: tuple[str, ...]
+
+    def __post_init__(self):
+        for kind in self.slots:
+            if not CANONICAL_KIND_RE.match(kind):
+                raise ValueError(f"kind {kind!r} is not canonical")
 
     @property
     def canonical(self) -> tuple[str, ...]:

@@ -33,6 +33,11 @@ that cost is the answer. quick_reject reads the eligibility table
 (_Problem.elig) to reject a request some kind of which has too few pins,
 before any search.
 
+Eligibility rules are names, keys of RULES_BY_NAME, so options holding them
+are plain values. A rule restricts one kind to the entries whose detail
+matches its pattern; _Problem applies the rules once, as it builds the
+eligibility tables.
+
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
 path). It yields Assignments built incrementally: beside the chosen pins it
@@ -51,15 +56,13 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .board import Board, FunctionEntry, Pin
+from .board import Board, Pin
 from .request import Request
 
 REASON_KIND_UNSUPPORTED = "kind-unsupported"
 REASON_PIGEONHOLE = "pigeonhole"
-
-_ICU_CH12_RE = re.compile(r"TIM\d+_CH[12]\Z")
 
 
 class AllPinsUsedWarning(UserWarning):
@@ -81,40 +84,26 @@ class Semantics(Enum):
     LABELED = "labeled"
 
 
-@dataclass(frozen=True)
-class EligibilityRule:
-    """A named predicate deciding whether an entry may serve a requested kind.
-
-    Rules can only restrict eligibility: an entry is considered iff its kind
-    matches the request slot and every active rule admits it.
-    """
-
-    name: str
-    predicate: Callable[[Pin, FunctionEntry, str], bool]
+# Eligibility rules by name: each admits an entry of its kind only when the
+# entry's detail matches its pattern. Rules only restrict eligibility, and
+# entries of other kinds are unaffected. icu-ch12 admits ICU entries on timer
+# channels 1 and 2 only (detail TIM<n>_CH1/2).
+RULES_BY_NAME = {"icu-ch12": ("ICU", re.compile(r"TIM\d+_CH[12]"))}
 
 
-def icu_channel_rule() -> EligibilityRule:
-    """Admit ICU entries only on timer channels 1 or 2 (detail TIM<n>_CH1/2).
-
-    Entries of other kinds are unaffected. ICU entries without a recognizable
-    timer-channel detail are ineligible under this rule.
-    """
-
-    def predicate(pin: Pin, entry: FunctionEntry, kind: str) -> bool:
-        if kind != "ICU":
-            return True
-        return bool(_ICU_CH12_RE.match(entry.detail))
-
-    return EligibilityRule("icu-ch12", predicate)
-
-
-RULES_BY_NAME = {"icu-ch12": icu_channel_rule}
+def rule_patterns(rules: tuple[str, ...]) -> list[tuple[str, re.Pattern]]:
+    """The (kind, detail pattern) of each named rule; ValueError for a name
+    RULES_BY_NAME does not hold."""
+    try:
+        return [RULES_BY_NAME[name] for name in rules]
+    except KeyError as exc:
+        raise ValueError(f"unknown eligibility rule {exc.args[0]!r}") from None
 
 
 @dataclass(frozen=True)
 class SolveOptions:
     semantics: Semantics = Semantics.UNIQUE_PIN_SETS
-    rules: tuple[EligibilityRule, ...] = ()
+    rules: tuple[str, ...] = ()  # keys of RULES_BY_NAME
     enumeration_cap: int = 1_000_000
 
 
@@ -158,7 +147,7 @@ class Witness:
 class Infeasible:
     reason: str
     message: str
-    witness: Witness | None = None
+    witness: Witness
 
 
 SolveOutcome = Assignment | Infeasible
@@ -197,7 +186,8 @@ class _Bindings(dict):
 class _Problem:
     """Preprocessed solve instance: canonical slots plus eligibility tables."""
 
-    def __init__(self, board: Board, request: Request, rules: tuple[EligibilityRule, ...]):
+    def __init__(self, board: Board, request: Request, rules: tuple[str, ...]):
+        patterns = rule_patterns(rules) if rules else ()
         self.board = board
         self.slots = request.canonical
         self.costs = [pin.cost for pin in board.pins]
@@ -210,7 +200,7 @@ class _Problem:
                 kind = e.kind
                 if kind not in supporters:
                     continue
-                if rules and not all(r.predicate(pin, e, kind) for r in rules):
+                if patterns and not all(r.fullmatch(e.detail) for k, r in patterns if k == kind):
                     continue
                 key = (index, kind)
                 best = self.detail.get(key)
@@ -270,7 +260,7 @@ def check_witness(
     board: Board,
     request: Request,
     witness: Witness,
-    rules: tuple[EligibilityRule, ...] = (),
+    rules: tuple[str, ...] = (),
 ) -> bool:
     """Machine-check an infeasibility witness against its instance.
 

@@ -116,6 +116,43 @@ def test_board_stats_empty():
     assert board_stats(Board(())) == (0, 0, set())
 
 
+def test_byte_order_mark_is_dropped_once():
+    text = "board demo\npin PA1 = ANALOG\n"
+    assert parse_board("\ufeff" + text) == parse_board(text)
+    with pytest.raises(BoardParseError, match="line 1, column 1"):
+        parse_board("\ufeff\ufeff" + text)
+
+
+def test_carriage_return_inside_board_name_reported_with_line():
+    with pytest.raises(BoardParseError, match="line 2, column 11: carriage return"):
+        parse_board("# header\nboard demo\rx\r\npin PA1 = ANALOG\n")
+
+
+_ANALOG = (FunctionEntry("ANALOG"),)
+
+
+@pytest.mark.parametrize(
+    "pins, name, message",
+    [
+        ((Pin("P 1", _ANALOG),), None, "invalid pin id 'P 1'"),
+        ((Pin("Q'2", _ANALOG),), None, "invalid pin id"),
+        ((Pin("PA1", (FunctionEntry("analog"),)),), None, "kind 'analog' is not canonical"),
+        ((Pin("PA1", (FunctionEntry("PWM", "TIM 1"),)),), None, "invalid detail 'TIM 1'"),
+        ((Pin("PA1", ()),), None, "pin PA1 has no entries"),
+        ((Pin("PA1", _ANALOG + _ANALOG),), None, "pin PA1 repeats an entry"),
+        ((Pin("PA1", _ANALOG),), "demo\n]).", "line break"),
+        ((), "demo\rboard", "line break"),
+    ],
+    ids=[
+        "space-id", "quote-id", "lowercase-kind", "bad-detail", "no-entries", "repeat", "lf", "cr"
+    ],
+)
+def test_constructor_enforces_the_file_grammar(pins, name, message):
+    """A Board built in code is held to the grammar parse_board enforces."""
+    with pytest.raises(ValueError, match=message):
+        Board(pins, name)
+
+
 def test_duplicate_pin_in_constructor_rejected():
     pin = Pin("PA1", (FunctionEntry("ANALOG"),))
     with pytest.raises(ValueError, match="duplicate pin id"):

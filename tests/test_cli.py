@@ -24,7 +24,6 @@ from pinassign import (
     Pin,
     SolveOptions,
     find_feasible,
-    icu_channel_rule,
     parse_board,
     parse_request,
     serialize_board,
@@ -189,6 +188,33 @@ def test_validate_bad_board_file(tmp_path, capsys):
     path.write_text("pin PA1 = \n", encoding="utf-8")
     assert run(["validate", "--board", str(path)]) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_validate_board_file_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.pins"
+    path.write_text("board demo\npin PA1 = ANALOG\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(["validate", "--board", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("board: demo\npins: 1,")
+
+
+@pytest.mark.parametrize(
+    "command, text, error",
+    [
+        (["graph"], "pin Node = ANALOG\n", "pin id 'Node' is a DOT keyword"),
+        (["graph"], "pin n_B = ANALOG\n", "pin id 'n_B' is a DOT keyword"),
+        (["emit", "--target", "alloy-spec"], "pin PA1 = ANALOG\npin ANALOG = PWM\n", "'ANALOG'"),
+        (["emit", "--target", "alloy-spec"], "pin PA1 = PWM/0\n", "detail '0' must start"),
+    ],
+    ids=["dot-keyword", "dot-virtual-node", "alloy-twice", "alloy-digit"],
+)
+def test_refused_board_is_an_error(tmp_path, capsys, command, text, error):
+    path = tmp_path / "board.pins"
+    path.write_bytes(text.encode("utf-8"))
+    assert run([*command, "--board", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and error in captured.err
 
 
 def test_missing_board_file_is_io_error(capsys):
@@ -513,7 +539,7 @@ def test_exit_contract_property(board, command, requests, rule, number, fmt, dat
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if command in ("solve", "solve-best"):
-        options = SolveOptions(rules=(icu_channel_rule(),) if rule else ())
+        options = SolveOptions(rules=("icu-ch12",) if rule else ())
         verdict = find_feasible(board, parse_request(requests[0]), options)
         assert (code == 1) == isinstance(verdict, Infeasible)
 

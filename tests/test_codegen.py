@@ -24,7 +24,6 @@ from pinassign import (
     parse_board,
     parse_request,
 )
-from pinassign.codegen import _check_balanced
 from pinassign.oracle import realization_count
 
 from conftest import random_board
@@ -230,6 +229,29 @@ def test_alloy_spec_detail_free_pin_gets_empty_set():
     assert "conn_detail = none" in emit_alloy_spec(board).text
 
 
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("pin PA1 = ANALOG\npin ANALOG = PWM", "ANALOG"),  # a pin named like a kind
+        ("pin PA1 = ANALOG/PA1", "PA1"),  # a detail named like a pin
+        ("pin PA1 = PWM/PWM", "PWM"),  # a detail named like a kind
+        ("pin Pin = ANALOG", "Pin"),
+        ("pin PA1 = ANALOG/ConnType", "ConnType"),
+        ("pin PA1 = ANALOG/ConnDetail", "ConnDetail"),
+        ("pin Int = ANALOG", "Int"),
+    ],
+)
+def test_alloy_spec_refuses_a_signature_name_declared_twice(text, name):
+    with pytest.raises(ValueError, match=f"signature name '{name}' is declared twice"):
+        emit_alloy_spec(parse_board(text))
+
+
+@pytest.mark.parametrize("detail", ["0", "1ADC", "_X"])
+def test_alloy_spec_refuses_a_detail_not_starting_with_a_letter(detail):
+    with pytest.raises(ValueError, match=f"detail '{detail}' must start with a letter"):
+        emit_alloy_spec(parse_board(f"pin PA1 = PWM/{detail}, ANALOG/ADC1"))
+
+
 # --- Alloy assertions
 
 
@@ -391,49 +413,18 @@ def test_dot_labels_list_entries(two_pin_board):
     assert 'label="PA1\\nANALOG/ADC1_IN1\\nICU/TIM2_CH2\\nICU/TIM5_CH2"' in text
 
 
-# --- self-check
-
-
 @pytest.mark.parametrize(
-    "text, comment",
-    [
-        ("a) b\n", None),  # stray closer
-        ("f(a]\n", None),  # mismatched pair
-        ("{ (x)\n", None),  # unclosed opener
-        ("g('a(b)\n", None),  # unterminated quote
-        ('x "a\n" y\n', None),  # a quote never spans lines
-        ("% fine (\n[x\n", "%"),  # a comment hides nothing after it
-        ("  // (\n)\n", "//"),
-        ("% (\n", None),  # without a marker no line is a comment
-    ],
-    ids=[
-        "stray",
-        "mismatched",
-        "unclosed",
-        "quote",
-        "quote-newline",
-        "open-after",
-        "close-after",
-        "no-marker",
-    ],
+    "pin_id", ["n_B", "n_E", "Node", "EDGE", "graph", "Digraph", "subgraph", "strict"]
 )
-def test_check_balanced_rejects(text, comment):
-    with pytest.raises(AssertionError):
-        _check_balanced(text, comment)
+def test_dot_refuses_keyword_and_virtual_node_ids(pin_id):
+    """A bare DOT ID equal to a keyword (in any case) starts a statement, and
+    one equal to n_B or n_E merges with that virtual node."""
+    with pytest.raises(ValueError, match=f"pin id '{pin_id}' is a DOT keyword or virtual node"):
+        emit_graph_dot(parse_board(f"pin PA1 = PWM\npin {pin_id} = ANALOG"))
 
 
-@pytest.mark.parametrize(
-    "text, comment",
-    [
-        ("f(a, [b, {c}]).\n", None),
-        ("atom('(]', \"}\").\n", None),  # delimiters inside quotes are text
-        ("x(\"it's\")\n", None),  # the other quote character is text too
-        ("% board 'µC ( [\n  %' ]\nok(1).\n", "%"),  # comment lines are skipped
-        ("// sig ( \"\n  //'\nsig {}\n", "//"),
-        ("a % not a comment ()\n", "%"),  # only a leading marker starts one
-        ("", None),
-    ],
-    ids=["nested", "quoted", "other-quote", "prolog-comment", "alloy-comment", "inline", "empty"],
-)
-def test_check_balanced_accepts(text, comment):
-    _check_balanced(text, comment)
+def test_dot_accepts_ids_near_the_reserved_ones():
+    # DOT IDs are case-sensitive, so n_b is not the begin node n_B.
+    board = parse_board("pin n_b = ANALOG\npin nodes = PWM\npin strict1 = ICU")
+    nodes, edges = _dot_counts(emit_graph_dot(board).text)
+    assert (nodes, edges) == (5, 12)

@@ -46,6 +46,14 @@ def test_parse_rejects_bad_token():
         parse_request("anal og")
 
 
+@pytest.mark.parametrize("kind", ["analog", "SERIAL-TX", "1CU", ""])
+def test_constructor_requires_canonical_kinds(kind):
+    """A Request built in code cannot carry a kind no board entry can have,
+    which would read as unsupported on a board that offers it."""
+    with pytest.raises(ValueError, match="is not canonical"):
+        Request(("ICU", kind))
+
+
 def test_canonicalize_sorts_preserving_duplicates():
     request = Request(("ICU", "ANALOG", "ANALOG"))
     assert Request(request.canonical).slots == ("ANALOG", "ANALOG", "ICU")

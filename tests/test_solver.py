@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import sys
 import warnings
 
@@ -23,7 +24,6 @@ from pinassign import (
     enumerate_all,
     find_best,
     find_feasible,
-    icu_channel_rule,
     iter_assignments,
     parse_board,
     parse_request,
@@ -121,19 +121,47 @@ def test_best_matches_unique_solution_cost(two_pin_board):
     assert outcome.total_cost == 7
 
 
-def test_icu_rule_restricts_channels(two_pin_board):
-    rule = icu_channel_rule()
-    pa1, pa2 = two_pin_board.pins
-    assert rule.predicate(pa1, FunctionEntry("ICU", "TIM2_CH2"), "ICU")
-    assert not rule.predicate(pa2, FunctionEntry("ICU", "TIM2_CH3"), "ICU")
-    assert not rule.predicate(pa1, FunctionEntry("ICU", "-"), "ICU")
-    # other kinds unaffected
-    assert rule.predicate(pa1, FunctionEntry("ANALOG", "ADC1_IN1"), "ANALOG")
+def test_icu_rule_restricts_channels():
+    board = parse_board(
+        "pin PA1 = ICU/TIM2_CH2, ANALOG/ADC1_IN1\n"
+        "pin PA2 = ICU/TIM2_CH3\n"
+        "pin PA3 = ICU\n"
+        "pin PA4 = ICU/XTIM2_CH1, ICU/TIM2_CH12, ANALOG\n"
+    )
+    # Only a whole TIM<n>_CH1/2 detail passes; other kinds are unaffected.
+    problem = _Problem(board, parse_request("icu,analog"), ("icu-ch12",))
+    assert problem.elig == {"ANALOG": (0, 3), "ICU": (0,)}
+    assert problem.detail[(0, "ICU")] == "TIM2_CH2"
+    assert _Problem(board, parse_request("icu"), ()).elig == {"ICU": (0, 1, 2, 3)}
+
+
+def test_unknown_rule_name_is_refused(two_pin_board):
+    request = parse_request("icu")
+    with pytest.raises(ValueError, match="unknown eligibility rule 'icu-ch3'"):
+        find_feasible(two_pin_board, request, SolveOptions(rules=("icu-ch3",)))
+    with pytest.raises(ValueError, match="unknown eligibility rule"):
+        brute_force_solve(two_pin_board, request, ("icu-ch12", "nope"))
+    outcome = find_feasible(two_pin_board, parse_request("icu,icu,icu"))
+    with pytest.raises(ValueError, match="unknown eligibility rule"):
+        check_witness(two_pin_board, request, outcome.witness, rules=("ICU-CH12",))
+
+
+def test_solve_options_with_rules_are_values(two_pin_board):
+    """Rules are names, so equal options compare and hash equal, print no
+    memory address, and solve alike."""
+    a, b = SolveOptions(rules=("icu-ch12",)), SolveOptions(rules=("icu-ch12",))
+    icu = parse_request("icu")
+    assert find_feasible(two_pin_board, icu, a) == find_feasible(two_pin_board, icu, b)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert repr(a) == repr(b)
+    assert "0x" not in repr(a)
+    assert "'icu-ch12'" in repr(a)
 
 
 def test_icu_rule_turns_channel3_board_infeasible():
     board = parse_board("pin PA2 = ANALOG/ADC1_IN2, SERIAL_TX/UART2_TX, ICU/TIM2_CH3, ICU/TIM5_CH3")
-    options = SolveOptions(rules=(icu_channel_rule(),))
+    options = SolveOptions(rules=("icu-ch12",))
     with pytest.warns(AllPinsUsedWarning):
         outcome = find_best(board, parse_request("icu"), options)
     assert isinstance(outcome, Infeasible)
@@ -200,7 +228,7 @@ def test_pin_set_enumeration_equals_oracle_sample():
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
 def test_oracle_equivalence_with_icu_rule():
-    rules = (icu_channel_rule(),)
+    rules = ("icu-ch12",)
     for board, request in instance_family(seed=13, count=60):
         expected = brute_force_solve(board, request, rules)
         options = SolveOptions(semantics=Semantics.LABELED, rules=rules)
@@ -235,7 +263,7 @@ def test_min_cost_matching_primitive_against_permutations():
     for _ in range(60):
         board = random_board(rng, max_pins=6)
         request = random_request(rng, board, max_len=4)
-        for rules in ((), (icu_channel_rule(),)):
+        for rules in ((), ("icu-ch12",)):
             problem = _Problem(board, request, rules)
             candidates = [
                 (sum(board.pins[p].cost for p in pins), pins)
@@ -331,7 +359,7 @@ def test_adding_a_pin_preserves_feasibility():
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
 def test_removing_a_rule_preserves_feasibility():
-    options = SolveOptions(rules=(icu_channel_rule(),))
+    options = SolveOptions(rules=("icu-ch12",))
     for board, request in instance_family(seed=19, count=40):
         if isinstance(find_feasible(board, request, options), Assignment):
             assert isinstance(find_feasible(board, request), Assignment)
@@ -535,8 +563,12 @@ def test_streamed_assignments_equal_ones_built_from_their_pins(demo_board, optio
     assert count == solutions
 
 
+ICU_CH12 = re.compile(r"TIM\d+_CH[12]")
+
+
 def _per_kind_tables(board, request, rules):
-    """elig and detail as one scan of every pin per requested kind builds them."""
+    """elig and detail as one scan of every pin per requested kind builds
+    them, applying icu-ch12 (the only rule) by its own pattern."""
     elig, detail = {}, {}
     for kind in sorted(set(request.canonical)):
         supporters = []
@@ -544,7 +576,8 @@ def _per_kind_tables(board, request, rules):
             details = [
                 e.detail
                 for e in pin.entries
-                if e.kind == kind and all(r.predicate(pin, e, kind) for r in rules)
+                if e.kind == kind
+                and ("icu-ch12" not in rules or kind != "ICU" or ICU_CH12.fullmatch(e.detail))
             ]
             if details:
                 supporters.append(index)
@@ -559,10 +592,10 @@ def test_eligibility_tables_equal_a_per_kind_scan():
     two_icu = Board((Pin("PX", entries),))
     icu = parse_request("icu")
     for board, request in [*instance_family(seed=31, count=300), (two_icu, icu)]:
-        for rules in ((), (icu_channel_rule(),)):
+        for rules in ((), ("icu-ch12",)):
             problem = _Problem(board, request, rules)
             elig, detail = _per_kind_tables(board, request, rules)
             assert list(problem.elig.items()) == list(elig.items()), (board, request)
             assert problem.detail == detail, (board, request)
     assert _Problem(two_icu, icu, ()).detail == {(0, "ICU"): "TIM1_CH3"}
-    assert _Problem(two_icu, icu, (icu_channel_rule(),)).detail == {(0, "ICU"): "TIM2_CH1"}
+    assert _Problem(two_icu, icu, ("icu-ch12",)).detail == {(0, "ICU"): "TIM2_CH1"}
