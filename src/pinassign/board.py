@@ -17,12 +17,14 @@ IDs match ``[A-Za-z][A-Za-z0-9_]*``. Kind tokens match
 ``-`` to ``_``; unknown kinds are accepted. Details match ``[A-Za-z0-9_]+``
 and default to ``-`` when omitted. One leading byte-order mark is dropped.
 
-A Board checks this grammar itself, however it was built: every pin id,
-canonical kind (``[A-Z][A-Z0-9_]*``) and detail, at least one entry per pin,
-no repeated entry on a pin, no repeated id, and no line break in the name.
-parse_board reports the same faults first, with their line and column. So
-every token a consumer of a Board writes comes from this grammar, and only
-the name is free text.
+Each value checks its own part of this grammar when it is built, however it
+was built: a FunctionEntry its canonical kind (``[A-Z][A-Z0-9_]*``) and its
+detail, a Pin its id, at least one entry and no repeated entry, and a Board
+its name and that no id repeats. The name is what a header line can carry
+back: no line break, no ``#`` and no outer blanks. So every token a consumer
+of a Board writes comes from this grammar, and serialize_board's text parses
+back to an equal Board. parse_board checks only the syntax around these
+values and reports a value's fault at its line and column.
 """
 
 from __future__ import annotations
@@ -62,12 +64,28 @@ def canonical_kind(token: str) -> str:
     return stripped.upper().replace("-", "_")
 
 
+def _first_repeat(items) -> int | None:
+    """Index of the first item equal to an earlier one, or None."""
+    seen = set()
+    for index, item in enumerate(items):
+        if item in seen:
+            return index
+        seen.add(item)
+    return None
+
+
 @dataclass(frozen=True)
 class FunctionEntry:
     """One capability of a pin: a kind plus the peripheral route serving it."""
 
     kind: str
     detail: str = NO_DETAIL
+
+    def __post_init__(self):
+        if not CANONICAL_KIND_RE.match(self.kind):
+            raise ValueError(f"kind {self.kind!r} is not canonical")
+        if self.detail != NO_DETAIL and not _DETAIL_RE.match(self.detail):
+            raise ValueError(f"invalid detail {self.detail!r}")
 
     def __str__(self) -> str:
         if self.detail == NO_DETAIL:
@@ -81,6 +99,17 @@ class Pin:
 
     id: str
     entries: tuple[FunctionEntry, ...]
+
+    def __post_init__(self):
+        # The entries are checked before the id, so that parse_board can
+        # tell the two faults apart by looking for a repeat.
+        if not self.entries:
+            raise ValueError(f"pin {self.id} has no entries")
+        if len(set(self.entries)) < len(self.entries):
+            repeat = self.entries[_first_repeat(self.entries)]
+            raise ValueError(f"duplicate entry {repeat} on pin {self.id}")
+        if not _PIN_ID_RE.match(self.id):
+            raise ValueError(f"invalid pin id {self.id!r}")
 
     @property
     def cost(self) -> int:
@@ -99,26 +128,19 @@ class Board:
     _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name is not None and ("\n" in self.name or "\r" in self.name):
-            raise ValueError(f"board name {self.name!r} contains a line break")
-        by_id = {}
-        for index, pin in enumerate(self.pins):
-            if not _PIN_ID_RE.match(pin.id):
-                raise ValueError(f"invalid pin id {pin.id!r}")
-            if not pin.entries:
-                raise ValueError(f"pin {pin.id} has no entries")
-            for e in pin.entries:
-                if not CANONICAL_KIND_RE.match(e.kind):
-                    raise ValueError(f"pin {pin.id}: kind {e.kind!r} is not canonical")
-                if e.detail != NO_DETAIL and not _DETAIL_RE.match(e.detail):
-                    raise ValueError(f"pin {pin.id}: invalid detail {e.detail!r}")
-            if len(set(pin.entries)) < len(pin.entries):
-                raise ValueError(f"pin {pin.id} repeats an entry")
-            key = pin.id.lower()
-            if key in by_id:
-                raise ValueError(f"duplicate pin id {pin.id!r}")
-            by_id[key] = index
+        # The ids are checked before the name, so that parse_board can tell
+        # the two faults apart by looking for a repeat.
+        keys = [pin.id.lower() for pin in self.pins]
+        by_id = dict(zip(keys, range(len(keys))))
+        if len(by_id) < len(keys):
+            raise ValueError(f"duplicate pin id {self.pins[_first_repeat(keys)].id!r}")
         object.__setattr__(self, "_by_id", by_id)
+        if self.name is not None:
+            for char, what in (("\r", "carriage return"), ("\n", "line feed"), ("#", "'#'")):
+                if char in self.name:
+                    raise ValueError(f"{what} in board name")
+            if self.name != self.name.strip():
+                raise ValueError(f"outer blanks in board name {self.name!r}")
 
     def __len__(self) -> int:
         return len(self.pins)
@@ -145,61 +167,50 @@ def board_stats(board: Board) -> tuple[int, int, set[str]]:
     return len(board.pins), max_cost, kinds
 
 
-def _parse_entry(chunk: str, line_no: int, chunk_start: int) -> FunctionEntry:
-    # chunk_start: 0-based index of the chunk within its line.
-    col = chunk_start + (len(chunk) - len(chunk.lstrip())) + 1
-    stripped = chunk.strip()
-    if not stripped:
+def _parse_entry(chunk: str, line_no: int, col: int) -> FunctionEntry:
+    if not chunk.strip():
         raise BoardParseError("empty function entry", line_no, col)
-    kind_token, slash, detail_token = stripped.partition("/")
+    kind_token, slash, detail = chunk.partition("/")
+    detail = detail.strip() if slash else NO_DETAIL
+    if slash and detail == NO_DETAIL:  # "-" only stands for an omitted detail
+        raise BoardParseError("invalid detail '-'", line_no, col)
     try:
-        kind = canonical_kind(kind_token.strip())
+        return FunctionEntry(canonical_kind(kind_token.strip()), detail)
     except ValueError as exc:
         raise BoardParseError(str(exc), line_no, col) from None
-    if not slash:
-        return FunctionEntry(kind)
-    detail_token = detail_token.strip()
-    if not _DETAIL_RE.match(detail_token):
-        raise BoardParseError(f"invalid detail {detail_token!r}", line_no, col)
-    return FunctionEntry(kind, detail_token)
 
 
 def _parse_pin_line(line: str, line_no: int, start: int) -> Pin:
     # start: 0-based index in line just past the "pin" keyword.
     head, eq, tail = line[start:].partition("=")
-    pin_id = head.strip()
-    id_col = start + (len(head) - len(head.lstrip())) + 1
     if not eq:
         raise BoardParseError("expected '=' after pin id", line_no, len(line) + 1)
-    if not _PIN_ID_RE.match(pin_id):
-        raise BoardParseError(f"invalid pin id {pin_id!r}", line_no, id_col)
     entries: list[FunctionEntry] = []
-    seen: set[tuple[str, str]] = set()
+    columns: list[int] = []  # of each entry, for placing a fault in it
     base = start + len(head) + 1
     for chunk in tail.split(","):
-        entry = _parse_entry(chunk, line_no, base)
-        if (entry.kind, entry.detail) in seen:
-            raise BoardParseError(
-                f"duplicate entry {entry} on pin {pin_id}",
-                line_no,
-                base + (len(chunk) - len(chunk.lstrip())) + 1,
-            )
-        seen.add((entry.kind, entry.detail))
-        entries.append(entry)
+        columns.append(base + (len(chunk) - len(chunk.lstrip())) + 1)
+        entries.append(_parse_entry(chunk, line_no, columns[-1]))
         base += len(chunk) + 1
-    return Pin(pin_id, tuple(entries))
+    try:
+        return Pin(head.strip(), tuple(entries))
+    except ValueError as exc:
+        repeat = _first_repeat(entries)
+        column = start + len(head) - len(head.lstrip()) + 1 if repeat is None else columns[repeat]
+        raise BoardParseError(str(exc), line_no, column) from None
 
 
 def parse_board(text: str) -> Board:
     """Parse a board document, preserving pin declaration order.
 
-    Raises BoardParseError on syntax errors, duplicate pin ids (compared
-    case-insensitively), duplicate (kind, detail) pairs within one pin,
-    empty entry lists, and a carriage return inside the board name.
+    Raises BoardParseError on syntax errors and on every fault the Board,
+    Pin and FunctionEntry constructors refuse, at the line and column of
+    the refused value.
     """
     name: str | None = None
+    header = (0, 0)
     pins: list[Pin] = []
-    seen_ids: set[str] = set()
+    places: list[tuple[int, int]] = []
     text = text.removeprefix("\ufeff")
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.split("#", 1)[0].rstrip("\r").rstrip()
@@ -213,20 +224,20 @@ def parse_board(text: str) -> Board:
                     "board header must be the first significant line", line_no, indent + 1
                 )
             name = stripped[5:].strip()
-            if "\r" in name:  # the name ends the line, so its last \r is in it
-                column = line.rindex("\r") + 1
-                raise BoardParseError("carriage return in board name", line_no, column)
+            # A carriage return is the only fault a header line can put in
+            # the name, and the name ends the line, so its last \r is in it.
+            header = (line_no, line.rfind("\r") + 1)
             continue
         if stripped.startswith("pin") and len(stripped) > 3 and stripped[3].isspace():
-            pin = _parse_pin_line(line, line_no, indent + 3)
-            key = pin.id.lower()
-            if key in seen_ids:
-                raise BoardParseError(f"duplicate pin id {pin.id!r}", line_no, indent + 1)
-            seen_ids.add(key)
-            pins.append(pin)
+            pins.append(_parse_pin_line(line, line_no, indent + 3))
+            places.append((line_no, indent + 1))
             continue
         raise BoardParseError("expected 'pin' or 'board' line", line_no, indent + 1)
-    return Board(tuple(pins), name)
+    try:
+        return Board(tuple(pins), name)
+    except ValueError as exc:
+        repeat = _first_repeat([pin.id.lower() for pin in pins])
+        raise BoardParseError(str(exc), *(header if repeat is None else places[repeat])) from None
 
 
 def serialize_board(board: Board) -> str:

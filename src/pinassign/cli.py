@@ -150,7 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read_board(path: str) -> Board:
-    return parse_board(Path(path).read_text(encoding="utf-8"))
+    # Bytes are decoded without newline translation, so parse_board alone
+    # decides what ends a line, as it does for any other caller.
+    return parse_board(Path(path).read_bytes().decode("utf-8"))
 
 
 def _refuse(args, flags, user: str) -> None:

@@ -128,35 +128,80 @@ def test_carriage_return_inside_board_name_reported_with_line():
         parse_board("# header\nboard demo\rx\r\npin PA1 = ANALOG\n")
 
 
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("pin 9bad = ANALOG, ANALOG", "line 1, column 20: duplicate entry ANALOG on pin 9bad"),
+        ("board a\rb\npin P = X\npin p = Y", "line 3, column 1: duplicate pin id 'p'"),
+    ],
+    ids=["id-and-entry", "name-and-id"],
+)
+def test_two_faults_report_one_at_its_own_place(text, error):
+    """The value that refuses checks its repeats first, and parse_board
+    places the fault by looking for a repeat, so message and place agree."""
+    with pytest.raises(BoardParseError) as exc:
+        parse_board(text)
+    assert str(exc.value) == error
+
+
 _ANALOG = (FunctionEntry("ANALOG"),)
 
 
 @pytest.mark.parametrize(
-    "pins, name, message",
+    "build, message",
     [
-        ((Pin("P 1", _ANALOG),), None, "invalid pin id 'P 1'"),
-        ((Pin("Q'2", _ANALOG),), None, "invalid pin id"),
-        ((Pin("PA1", (FunctionEntry("analog"),)),), None, "kind 'analog' is not canonical"),
-        ((Pin("PA1", (FunctionEntry("PWM", "TIM 1"),)),), None, "invalid detail 'TIM 1'"),
-        ((Pin("PA1", ()),), None, "pin PA1 has no entries"),
-        ((Pin("PA1", _ANALOG + _ANALOG),), None, "pin PA1 repeats an entry"),
-        ((Pin("PA1", _ANALOG),), "demo\n]).", "line break"),
-        ((), "demo\rboard", "line break"),
+        (lambda: Pin("P 1", _ANALOG), "invalid pin id 'P 1'"),
+        (lambda: Pin("Q'2", _ANALOG), "invalid pin id"),
+        (lambda: FunctionEntry("analog"), "kind 'analog' is not canonical"),
+        (lambda: FunctionEntry("PWM", "TIM 1"), "invalid detail 'TIM 1'"),
+        (lambda: Pin("PA1", ()), "pin PA1 has no entries"),
+        (lambda: Pin("PA1", _ANALOG + _ANALOG), "duplicate entry ANALOG on pin PA1"),
+        (lambda: Board((Pin("PA1", _ANALOG),), "demo\n]))."), "line feed in board name"),
+        (lambda: Board((), "demo\rboard"), "carriage return in board name"),
+        (lambda: Board((), "lab # 2"), "'#' in board name"),
+        (lambda: Board((), " padded"), "outer blanks in board name ' padded'"),
     ],
     ids=[
-        "space-id", "quote-id", "lowercase-kind", "bad-detail", "no-entries", "repeat", "lf", "cr"
+        "space-id", "quote-id", "lowercase-kind", "bad-detail", "no-entries", "repeat", "lf",
+        "cr", "hash", "blank",
     ],
 )
-def test_constructor_enforces_the_file_grammar(pins, name, message):
-    """A Board built in code is held to the grammar parse_board enforces."""
+def test_constructor_enforces_the_file_grammar(build, message):
+    """A value built in code is held to the grammar parse_board reads."""
     with pytest.raises(ValueError, match=message):
-        Board(pins, name)
+        build()
 
 
 def test_duplicate_pin_in_constructor_rejected():
     pin = Pin("PA1", (FunctionEntry("ANALOG"),))
     with pytest.raises(ValueError, match="duplicate pin id"):
         Board((pin, Pin("pa1", (FunctionEntry("ICU"),))))
+
+
+@pytest.mark.parametrize(
+    "text, build",
+    [
+        ("pin 9bad = ANALOG", lambda: Pin("9bad", _ANALOG)),
+        ("pin PA1 = PWM/TIM-1", lambda: FunctionEntry("PWM", "TIM-1")),
+        ("pin PA1 = ANALOG, analog", lambda: Pin("PA1", _ANALOG + _ANALOG)),
+        (
+            "pin PA1 = ANALOG\npin pa1 = ICU",
+            lambda: Board((Pin("PA1", _ANALOG), Pin("pa1", (FunctionEntry("ICU"),)))),
+        ),
+        ("board a\rb\n", lambda: Board((), "a\rb")),
+    ],
+    ids=["pin-id", "detail", "repeated-entry", "repeated-id", "name"],
+)
+def test_parser_and_constructor_word_a_fault_alike(text, build):
+    """Each grammar fault a board file can hold has one message, whether
+    parse_board meets it in text or a constructor in code. (Text cannot
+    hold a non-canonical kind or an empty entry list: parse_board
+    canonicalizes kind tokens and refuses an empty entry first.)"""
+    with pytest.raises(BoardParseError) as parsed:
+        parse_board(text)
+    with pytest.raises(ValueError) as built:
+        build()
+    assert str(parsed.value).split(": ", 1)[1] == str(built.value)
 
 
 @given(st.from_regex(r"[A-Za-z][A-Za-z0-9_-]{0,10}", fullmatch=True))
@@ -208,6 +253,36 @@ def boards(draw):
 def test_serialize_parse_round_trip(board):
     reparsed = parse_board(serialize_board(board))
     assert reparsed == board
+
+
+_tricky = st.text(alphabet="aZ9_-/#=, \t\r\n\x85é", max_size=5)
+
+
+@given(boards(), st.one_of(st.none(), _tricky))
+def test_named_board_is_refused_or_round_trips(board, name):
+    """A name is refused exactly when a header line cannot carry it back."""
+    try:
+        named = Board(board.pins, name)
+    except ValueError:
+        assert any(c in name for c in "\r\n#") or name != name.strip()
+        return
+    assert parse_board(serialize_board(named)) == named
+
+
+@given(
+    boards(),
+    st.one_of(_ids, _tricky),
+    st.one_of(_kinds.map(canonical_kind), _tricky),
+    st.one_of(_details, _tricky),
+)
+def test_built_pin_is_refused_or_round_trips(board, pin_id, kind, detail):
+    """Every Board that can be built survives serialize_board and parse_board."""
+    try:
+        pin = Pin(pin_id, (FunctionEntry(kind, detail),))
+        built = Board(board.pins + (pin,), board.name)
+    except ValueError:
+        return
+    assert parse_board(serialize_board(built)) == built
 
 
 @given(boards())

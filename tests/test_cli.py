@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from pinassign import (
     Board,
+    BoardParseError,
     FunctionEntry,
     Infeasible,
     Pin,
@@ -196,6 +197,28 @@ def test_validate_board_file_with_byte_order_mark(tmp_path, capsys):
     assert path.read_bytes().startswith(b"\xef\xbb\xbf")
     assert run(["validate", "--board", str(path)]) == 0
     assert capsys.readouterr().out.startswith("board: demo\npins: 1,")
+
+
+def test_validate_reads_a_crlf_board(tmp_path, capsys):
+    path = tmp_path / "crlf.pins"
+    path.write_bytes(b"board demo\r\npin PA1 = ANALOG\r\npin PA2 = ICU\r\n")
+    assert run(["validate", "--board", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("board: demo\npins: 2,")
+
+
+def test_lone_carriage_return_is_no_line_break_for_the_cli(tmp_path, capsys):
+    """The CLI splits a board file's lines as parse_board does, so a lone
+    \\r stays in the header line and the name refuses it."""
+    text = "board a\rpin PA1 = ANALOG\n"
+    path = tmp_path / "cr.pins"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(BoardParseError) as exc:
+        parse_board(text)
+    assert run(["validate", "--board", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exc.value}\n"
+    assert captured.err == "error: line 1, column 8: carriage return in board name\n"
 
 
 @pytest.mark.parametrize(
