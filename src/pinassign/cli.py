@@ -6,10 +6,12 @@ was valid but no solution exists), 2 usage, parse, or I/O errors.
 
 Every subcommand but emit and graph takes --format text|json and prints
 either a text report or one structured JSON document on stdout; only the
-chosen form is built. emit and graph write their document to stdout or to
---out. emit refuses a flag its target does not read, and count --board one
-of the formula flags. Output is deterministic for fixed inputs; only bench
-timing fields vary between runs.
+chosen form is built. solve-all, whose report grows with the number of
+solutions, writes it piece by piece from a stream of them, so its memory
+does not grow with that number. emit and graph write their document to
+stdout or to --out. emit refuses a flag its target does not read, and
+count --board one of the formula flags. Output is deterministic for fixed
+inputs; only bench timing fields vary between runs.
 """
 
 from __future__ import annotations
@@ -19,7 +21,10 @@ import json
 import sys
 import time
 import warnings
+from collections.abc import Iterator
 from dataclasses import asdict
+from functools import cache
+from itertools import islice
 from pathlib import Path
 
 from .board import Board, board_stats, parse_board
@@ -36,13 +41,13 @@ from .request import Request, parse_request
 from .solver import (
     AllPinsUsedWarning,
     Assignment,
+    Binding,
     EnumerationLimitError,
     Infeasible,
     RULES_BY_NAME,
     Semantics,
     SolveOptions,
     SolveOutcome,
-    enumerate_all,
     find_best,
     find_feasible,
     iter_assignments,
@@ -166,7 +171,7 @@ def _refuse(args, flags, user: str) -> None:
 def _show(args, value, doc, text) -> None:
     """Report value in the --format asked for: print the JSON document
     doc(value), or let text(value) print the text report. Only the chosen
-    form is built."""
+    form is built, and it is built whole, so solve-all does not come here."""
     if args.format == "json":
         print(json.dumps(doc(value), indent=2))
     else:
@@ -180,12 +185,13 @@ def _outcome_doc(outcome: SolveOutcome) -> dict:
         return {"status": "infeasible", "reason": outcome.reason, "witness": witness}
     return {
         "status": "feasible",
-        "assignment": [
-            {"slot": b.slot, "kind": b.kind, "pin": b.pin, "detail": b.detail}
-            for b in outcome.bindings
-        ],
+        "assignment": [_binding_doc(b) for b in outcome.bindings],
         "cost": outcome.total_cost,
     }
+
+
+def _binding_doc(b: Binding) -> dict:
+    return {"slot": b.slot, "kind": b.kind, "pin": b.pin, "detail": b.detail}
 
 
 def _outcome_text(outcome: SolveOutcome) -> None:
@@ -246,28 +252,67 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_solve_all(args) -> int:
+    """Write every solution's report to stdout piece by piece.
+
+    The report is the document of enumerate_all's list, but no list is kept:
+    the solutions are streamed once to count them, so that the count heads
+    the report and a run over --cap writes nothing, once to write them, and
+    for JSON once more to write their costs. Each Binding's piece is
+    rendered once and reused in every solution holding it; a solve shares
+    one Binding per (slot, pin), so the caches stay that small. Each
+    solution goes out in its own write, so memory stays that of one stream.
+    """
     board = _read_board(args.board)
     request = parse_request(args.request)
     options = SolveOptions(Semantics(args.semantics), tuple(args.rule), args.cap)
-    assignments = enumerate_all(board, request, options)
 
-    def doc(assignments) -> dict:
-        return {
-            "status": "feasible" if assignments else "infeasible",
-            "semantics": args.semantics,
-            "count": len(assignments),
-            "assignments": [_outcome_doc(a)["assignment"] for a in assignments],
-            "costs": [a.total_cost for a in assignments],
-        }
+    def solutions() -> Iterator[Assignment]:
+        return iter_assignments(board, request, options)
 
-    def text(assignments) -> None:
-        print(f"{len(assignments)} solutions ({args.semantics})")
-        for n, a in enumerate(assignments, start=1):
-            pins = ", ".join(f"{b.pin}:{b.kind}/{b.detail}" for b in a.bindings)
-            print(f"  [{n}] cost {a.total_cost}: {pins}")
+    cap = options.enumeration_cap
+    count = sum(1 for _ in islice(solutions(), cap + 1))
+    if count > cap:
+        raise EnumerationLimitError(cap)
+    write = sys.stdout.write
+    if args.format == "text":
+        write(f"{count} solutions ({args.semantics})\n")
+        piece = cache(lambda b: f"{b.pin}:{b.kind}/{b.detail}")
+        for n, a in enumerate(solutions(), start=1):
+            pins = ", ".join(map(piece, a.bindings))
+            write(f"  [{n}] cost {a.total_cost}: {pins}\n")
+        return EXIT_OK if count else EXIT_INFEASIBLE
 
-    _show(args, assignments, doc, text)
-    return EXIT_OK if assignments else EXIT_INFEASIBLE
+    # json.dumps(document, indent=2), one item at a time.
+    write(
+        f'{{\n  "status": "{"feasible" if count else "infeasible"}",\n'
+        f'  "semantics": {json.dumps(args.semantics)},\n  "count": {count},\n'
+    )
+    if not count:
+        write('  "assignments": [],\n  "costs": []\n}\n')
+        return EXIT_INFEASIBLE
+    fragment = cache(
+        lambda b: "      " + json.dumps(_binding_doc(b), indent=2).replace("\n", "\n      ")
+    )
+
+    def assignment(a: Assignment) -> str:
+        if not a.bindings:
+            return "    []"
+        return "    [\n" + ",\n".join(map(fragment, a.bindings)) + "\n    ]"
+
+    write('  "assignments": [\n')
+    _write_items(write, map(assignment, solutions()))
+    write('\n  ],\n  "costs": [\n')
+    _write_items(write, (f"    {a.total_cost}" for a in solutions()))
+    write("\n  ]\n}\n")
+    return EXIT_OK
+
+
+def _write_items(write, items) -> None:
+    """Write the items separated by a comma and a line break, one per write."""
+    separator = ""
+    for item in items:
+        write(separator + item)
+        separator = ",\n"
 
 
 def _cmd_count(args) -> int:

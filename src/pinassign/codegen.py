@@ -11,8 +11,8 @@ free text, the board name, only lands in comment lines, which a Board keeps
 free of line breaks. So no emitted document can have an unbalanced
 delimiter or an unterminated quote, and none is checked for one. What the
 grammar does not rule out is refused with ValueError: DOT keywords and the
-virtual node names as pin ids, and Alloy signature names that collide or
-do not start with a letter.
+virtual node names as pin ids, and Alloy signature names that collide, do
+not start with a letter, or are Alloy keywords or fields of Pin.
 
 Every materialized document ends in one call, _document, which measures its
 UTF-8 size. The Prolog fact base is the one large document: its header, one
@@ -36,6 +36,18 @@ DEFAULT_FACT_CAP = 5_000_000
 
 # DOT's keywords, which it reads in any case.
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
+
+# Names no Alloy signature of emit_alloy_spec may take: Alloy's keywords and
+# the fields of its Pin signature, which a pin's block reads by name.
+_ALLOY_RESERVED = {
+    **dict.fromkeys(
+        "abstract all and as assert but check disj else enum exactly extends fact for fun "
+        "iden iff implies in int let lone module no none not one open or pred private run "
+        "seq set sig some sum this univ".split(),
+        "an Alloy keyword",
+    ),
+    **dict.fromkeys(("conntype", "conn_detail", "cost"), "a field of Pin"),
+}
 
 PROLOG_INFERENCE_RULES = """\
 getConfig(RequiredConfiguration, Pair) :-
@@ -193,8 +205,10 @@ def emit_alloy_spec(board: Board) -> EmitterOutput:
     types, details, and cost.
 
     Raises ValueError when two signatures would share a name (a pin, kind or
-    detail named alike, or named like a built-in signature) or a detail does
-    not start with a letter, as an Alloy name must.
+    detail named alike, or named like a built-in signature), when a pin,
+    kind or detail is named like an Alloy keyword or a field of Pin, or when
+    a detail does not start with a letter, as an Alloy name must. Kinds are
+    upper case, so only pins and details can take the lower-case names.
     """
     kinds = sorted({e.kind for pin in board.pins for e in pin.entries})
     details = sorted(
@@ -204,6 +218,9 @@ def emit_alloy_spec(board: Board) -> EmitterOutput:
     ((name, count),) = Counter(names).most_common(1)
     if count > 1:
         raise ValueError(f"Alloy signature name {name!r} is declared twice")
+    for name in names:
+        if name in _ALLOY_RESERVED:
+            raise ValueError(f"{name!r} is {_ALLOY_RESERVED[name]}, not an Alloy signature name")
     for detail in details:
         if not detail[0].isalpha():
             raise ValueError(f"detail {detail!r} must start with a letter to be an Alloy name")

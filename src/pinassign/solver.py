@@ -102,9 +102,16 @@ def rule_patterns(rules: tuple[str, ...]) -> list[tuple[str, re.Pattern]]:
 
 @dataclass(frozen=True)
 class SolveOptions:
+    """How to solve: the semantics, the eligibility rules by name, and how
+    many solutions enumerate_all may materialize (at least 0)."""
+
     semantics: Semantics = Semantics.UNIQUE_PIN_SETS
     rules: tuple[str, ...] = ()  # keys of RULES_BY_NAME
     enumeration_cap: int = 1_000_000
+
+    def __post_init__(self):
+        if self.enumeration_cap < 0:
+            raise ValueError(f"enumeration cap must be >= 0, got {self.enumeration_cap}")
 
 
 @dataclass(frozen=True)
@@ -478,12 +485,9 @@ def enumerate_all(
 
     Empty list iff the request is infeasible. Raises EnumerationLimitError
     instead of materializing more than options.enumeration_cap solutions;
-    use iter_assignments to stream larger spaces. Raises ValueError for a
-    negative cap.
+    use iter_assignments to stream larger spaces.
     """
     options = options or SolveOptions()
-    if options.enumeration_cap < 0:
-        raise ValueError(f"enumeration cap must be >= 0, got {options.enumeration_cap}")
     # _prepare directly, not through iter_assignments, so that its
     # AllPinsUsedWarning names this function's caller.
     prepared = _prepare(board, request, options)

@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -23,7 +24,9 @@ from pinassign import (
     FunctionEntry,
     Infeasible,
     Pin,
+    Semantics,
     SolveOptions,
+    enumerate_all,
     find_feasible,
     parse_board,
     parse_request,
@@ -32,7 +35,7 @@ from pinassign import (
 from pinassign.cli import run
 
 from best_references import best_by_enumeration, best_by_threshold
-from conftest import DEMO_BOARD_PATH, KIND_POOL, TWO_PIN_TEXT
+from conftest import DEMO_BOARD_PATH, KIND_POOL, TWO_PIN_TEXT, instance_family
 
 DEMO = str(DEMO_BOARD_PATH)
 
@@ -428,6 +431,145 @@ def test_repeat_invocations_byte_identical(two_pin_file, capsys):
     assert first == second
 
 
+def _solve_all_argv(board_file, request, semantics, fmt, rule=False) -> list[str]:
+    argv = ["solve-all", "--board", board_file, "--request", request]
+    argv += ["--semantics", semantics, "--format", fmt]
+    return argv + ["--rule", "icu-ch12"] if rule else argv
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_all_cap_is_checked_before_any_byte(fmt, capsys):
+    """A cap equal to the count gives the whole report; one less gives the
+    cap error and no stdout at all, since the count pass comes first."""
+    argv = _solve_all_argv(DEMO, "analog,icu,pwm", "labeled", fmt)
+    assert run(argv) == 0
+    full = capsys.readouterr().out
+    count = int(full.split()[0]) if fmt == "text" else json.loads(full)["count"]
+    assert count == 404
+    assert run([*argv, "--cap", str(count)]) == 0
+    assert capsys.readouterr().out == full
+    assert run([*argv, "--cap", str(count - 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: more than {count - 1} solutions; raise the cap or stream with iter_assignments\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "fmt, report",
+    [
+        ("text", "0 solutions (pinsets)\n"),
+        (
+            "json",
+            '{\n  "status": "infeasible",\n  "semantics": "pinsets",\n  "count": 0,\n'
+            '  "assignments": [],\n  "costs": []\n}\n',
+        ),
+    ],
+)
+def test_solve_all_cap_zero_on_an_infeasible_request(two_pin_file, capsys, fmt, report):
+    assert run(_solve_all_argv(two_pin_file, "can-tx", "pinsets", fmt) + ["--cap", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (report, "")
+
+
+def _reference_solve_all(board, request, semantics, rules, fmt) -> str:
+    """solve-all's report as the CLI wrote it before it streamed: the whole
+    list of solutions, then the whole document or the whole text."""
+    options = SolveOptions(Semantics(semantics), rules)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assignments = enumerate_all(board, request, options)
+    if fmt == "json":
+        doc = {
+            "status": "feasible" if assignments else "infeasible",
+            "semantics": semantics,
+            "count": len(assignments),
+            "assignments": [
+                [
+                    {"slot": b.slot, "kind": b.kind, "pin": b.pin, "detail": b.detail}
+                    for b in a.bindings
+                ]
+                for a in assignments
+            ],
+            "costs": [a.total_cost for a in assignments],
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [f"{len(assignments)} solutions ({semantics})"]
+    for n, a in enumerate(assignments, start=1):
+        pins = ", ".join(f"{b.pin}:{b.kind}/{b.detail}" for b in a.bindings)
+        lines.append(f"  [{n}] cost {a.total_cost}: {pins}")
+    return "\n".join(lines) + "\n"
+
+
+def test_solve_all_writes_the_bytes_of_the_whole_document(tmp_path):
+    """The streamed report equals the one built whole, on the seeded family,
+    under both semantics, in both formats, with and without a rule."""
+    seen = {"empty": 0, "infeasible": 0, "rule changes the report": 0}
+    for n, (board, request) in enumerate(instance_family(seed=2024, count=220)):
+        path = tmp_path / f"{n}.pins"
+        path.write_text(serialize_board(board), encoding="utf-8")
+        text = ",".join(request.slots)
+        reports = {}
+        for rules in ((), ("icu-ch12",)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                outcome = find_feasible(board, request, SolveOptions(rules=rules))
+            seen["infeasible"] += isinstance(outcome, Infeasible)
+            for semantics in ("pinsets", "labeled"):
+                for fmt in ("text", "json"):
+                    out = io.StringIO()
+                    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                        code = run(_solve_all_argv(str(path), text, semantics, fmt, bool(rules)))
+                    want = _reference_solve_all(board, request, semantics, rules, fmt)
+                    assert out.getvalue() == want, (n, semantics, fmt, rules)
+                    assert code == (1 if isinstance(outcome, Infeasible) else 0)
+                    reports[rules, semantics, fmt] = want
+        seen["empty"] += request.length == 0
+        seen["rule changes the report"] += reports[(), "labeled", "json"] != reports[
+            ("icu-ch12",), "labeled", "json"
+        ]
+    assert all(seen.values()), seen
+
+
+class _ByteCount:
+    """A stdout that keeps only the number of characters written and the
+    first piece."""
+
+    def __init__(self):
+        self.size = 0
+        self.first = None
+
+    def write(self, text: str) -> int:
+        self.first = text if self.first is None else self.first
+        self.size += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_solve_all_streams_in_bounded_memory():
+    """Seven times as many solutions take no more memory: the traced peaks
+    of the demo's labeled 7- and 9-slot reports (10,680 and 75,120
+    solutions, 8.7 and 78 MB of JSON) differ by less than 1 MB."""
+    mixed = "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx".split(",")
+    peaks = []
+    for length, count, size in ((7, 10_680, 8_669_871), (9, 75_120, 78_137_511)):
+        sink = _ByteCount()
+        argv = _solve_all_argv(DEMO, ",".join(mixed[:length]), "labeled", "json")
+        tracemalloc.start()
+        try:
+            with redirect_stdout(sink):
+                assert run(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert f'"count": {count},' in sink.first
+        assert sink.size == size
+    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
@@ -441,15 +583,21 @@ ALL_PINS_USED = (
 @pytest.mark.parametrize("action", ["default", "ignore", "error"])
 @pytest.mark.parametrize(
     "command, shown",
-    [("solve", "feasible, cost 7"), ("bench", "     2        1        2      7      7")],
-    ids=["solve", "bench"],
+    [
+        (["solve"], "feasible, cost 7"),
+        (["bench"], "     2        1        2      7      7"),
+        (["solve-all"], "  [1] cost 7: PA1:ANALOG/ADC1_IN1, PA2:ANALOG/ADC1_IN2"),
+        (["solve-all", "--format", "json"], '"costs": [\n    7\n  ]'),
+    ],
+    ids=["solve", "bench", "solve-all-text", "solve-all-json"],
 )
 def test_all_pins_used_is_one_warning_line(two_pin_file, capsys, action, command, shown):
     """Whatever the warning filters say, a full-board request gets one
-    warning line (bench solves that request four times) and no traceback."""
+    warning line and no traceback. bench solves that request four times,
+    and solve-all two or three times (count, assignments, JSON costs)."""
     with warnings.catch_warnings():
         warnings.simplefilter(action)
-        code = run([command, "--board", two_pin_file, "--request", "analog,analog"])
+        code = run([*command, "--board", two_pin_file, "--request", "analog,analog"])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err.splitlines() == [ALL_PINS_USED]

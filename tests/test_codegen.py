@@ -10,6 +10,7 @@ import pytest
 from pinassign import (
     Board,
     EmitterCapError,
+    FunctionEntry,
     Request,
     Semantics,
     SolveOptions,
@@ -250,6 +251,39 @@ def test_alloy_spec_refuses_a_signature_name_declared_twice(text, name):
 def test_alloy_spec_refuses_a_detail_not_starting_with_a_letter(detail):
     with pytest.raises(ValueError, match=f"detail '{detail}' must start with a letter"):
         emit_alloy_spec(parse_board(f"pin PA1 = PWM/{detail}, ANALOG/ADC1"))
+
+
+ALLOY_KEYWORDS = (
+    "abstract all and as assert but check disj else enum exactly extends fact for fun iden "
+    "iff implies in int let lone module no none not one open or pred private run seq set sig "
+    "some sum this univ"
+).split()
+
+
+@pytest.mark.parametrize("name", ALLOY_KEYWORDS)
+def test_alloy_spec_refuses_a_keyword_as_pin_or_detail(name):
+    for text in (f"pin {name} = ANALOG", f"pin PA1 = ANALOG/{name}"):
+        with pytest.raises(ValueError, match=f"'{name}' is an Alloy keyword"):
+            emit_alloy_spec(parse_board(text))
+
+
+@pytest.mark.parametrize("name", ["conntype", "conn_detail", "cost"])
+def test_alloy_spec_refuses_a_pin_field_as_pin_or_detail(name):
+    for text in (f"pin {name} = ANALOG", f"pin PA1 = ANALOG/{name}"):
+        with pytest.raises(ValueError, match=f"'{name}' is a field of Pin"):
+            emit_alloy_spec(parse_board(text))
+
+
+def test_alloy_spec_kinds_are_never_reserved_names():
+    """A kind token spelled like a keyword or a field of Pin is read as its
+    upper-case canonical form, which Alloy does not reserve, and a Board
+    holds no other form."""
+    text = emit_alloy_spec(parse_board("pin PA1 = sig, cost/D1")).text
+    assert "one sig SIG extends ConnType {}" in text
+    assert "one sig COST extends ConnType {}" in text
+    for name in ("sig", "cost"):
+        with pytest.raises(ValueError, match="not canonical"):
+            FunctionEntry(name)
 
 
 # --- Alloy assertions

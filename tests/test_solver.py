@@ -101,10 +101,10 @@ def test_enumeration_cap_refuses_large_output(two_pin_board):
 
 
 def test_negative_enumeration_cap_rejected_before_solving(two_pin_board):
-    options = SolveOptions(enumeration_cap=-5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # solving this request would warn AllPinsUsedWarning
         with pytest.raises(ValueError, match="-5"):
+            options = SolveOptions(enumeration_cap=-5)
             enumerate_all(two_pin_board, parse_request("analog,analog"), options)
 
 
