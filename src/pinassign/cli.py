@@ -42,7 +42,6 @@ from .solver import (
     AllPinsUsedWarning,
     Assignment,
     Binding,
-    EnumerationLimitError,
     Infeasible,
     RULES_BY_NAME,
     Semantics,
@@ -272,7 +271,7 @@ def _cmd_solve_all(args) -> int:
     cap = options.enumeration_cap
     count = sum(1 for _ in islice(solutions(), cap + 1))
     if count > cap:
-        raise EnumerationLimitError(cap)
+        raise ValueError(f"more than {cap} solutions; raise --cap to list them all")
     write = sys.stdout.write
     if args.format == "text":
         write(f"{count} solutions ({args.semantics})\n")
@@ -467,19 +466,9 @@ def bench(
             row["first_cost"] = first.total_cost if isinstance(first, Assignment) else None
 
             t0 = time.monotonic()
-            pinsets = sum(
-                1
-                for _ in iter_assignments(
-                    board,
-                    prefix,
-                    SolveOptions(Semantics.UNIQUE_PIN_SETS, options.rules),
-                )
-            )
-            labeled = sum(
-                1
-                for _ in iter_assignments(
-                    board, prefix, SolveOptions(Semantics.LABELED, options.rules)
-                )
+            pinsets, labeled = (
+                sum(1 for _ in iter_assignments(board, prefix, SolveOptions(s, options.rules)))
+                for s in (Semantics.UNIQUE_PIN_SETS, Semantics.LABELED)
             )
             row["t_all"] = time.monotonic() - t0
             row["count_pinsets"] = pinsets
@@ -565,7 +554,6 @@ def run(argv: list[str] | None = None) -> int:
         try:
             return _COMMANDS[args.command](args)
         except (
-            EnumerationLimitError,
             OSError,
             ValueError,
             KeyError,

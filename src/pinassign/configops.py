@@ -95,17 +95,22 @@ def _canonical_assignment(board: Board, pin_map: dict[str, tuple[str, str]]) -> 
 def apply_diff(diff: ConfigDiff, base: Assignment) -> Assignment:
     """Apply a diff to the assignment it was computed from.
 
-    Raises ValueError when the diff's old-side entries do not match base.
+    Raises ValueError when the diff's old-side entries do not match base,
+    or a new entry is not one its pin offers on base's board.
     """
+    board = base.board
     pin_map = base.pin_entry_map()
     for change in diff.pin_changes:
-        if pin_map.get(change.pin) != change.old:
-            raise ValueError(f"diff does not apply: pin {change.pin} differs from base")
-        if change.new is None:
-            del pin_map[change.pin]
+        pin, new = change.pin, change.new
+        if pin_map.get(pin) != change.old:
+            raise ValueError(f"diff does not apply: pin {pin} differs from base")
+        if new is None:
+            del pin_map[pin]
+        elif board.has_pin(pin) and new in [(e.kind, e.detail) for e in board.pin(pin).entries]:
+            pin_map[pin] = new
         else:
-            pin_map[change.pin] = change.new
-    return _canonical_assignment(base.board, pin_map)
+            raise ValueError(f"diff does not apply: pin {pin} does not offer {'/'.join(new)}")
+    return _canonical_assignment(board, pin_map)
 
 
 def extend_assignment(
@@ -118,8 +123,11 @@ def extend_assignment(
     bindings frozen, and return the combined assignment.
 
     Infeasibility (with witness) is reported over the residual board. With an
-    empty base this is exactly find_best on the full board.
+    empty base this is exactly find_best on the full board. Raises
+    BoardMismatchError when base refers to another board.
     """
+    if base.board != board:
+        raise BoardMismatchError("base assignment refers to a different board")
     used = base.used_pins
     residual = Board(tuple(pin for pin in board.pins if pin.id not in used), board.name)
     outcome = find_best(residual, extra, options)

@@ -25,11 +25,12 @@ the caller rules out (a repair's bound pins) and every pin it has tried. A
 labeled search therefore opens no node without a solution below it, and
 find_feasible is its first solution. When the initial matching fails, the
 infeasibility witness is read from the pins that failed search blocked.
-find_best runs the same search on a minimum-cost matching, which _augment
-builds one cost level at a time, cheapest first: the candidates are cut to
-the levels it uses, and spare slots, matched but never bound, hold the pins
-a minimum-cost assignment leaves free, so its first labeled solution of
-that cost is the answer. quick_reject reads the eligibility table
+find_best runs the same search on a minimum-cost matching, which _prepare
+builds in the same loop, one cost level at a time, cheapest first; it is
+the only matching a solve builds. The candidates are then cut to the levels
+it uses, and spare slots, matched but never bound, hold the pins a
+minimum-cost assignment leaves free, so its first labeled solution of that
+cost is the answer. quick_reject reads the eligibility table
 (_Problem.elig) to reject a request some kind of which has too few pins,
 before any search.
 
@@ -305,13 +306,20 @@ def quick_reject(board: Board, request: Request) -> Rejection | None:
 
 
 def _prepare(
-    board: Board, request: Request, options: SolveOptions
+    board: Board, request: Request, options: SolveOptions, by_cost: bool = False
 ) -> tuple[_Problem, dict[int, int]] | Infeasible:
     """Build the instance and one matching of all its slots (pin -> slot).
 
-    Slots are inserted in order by _augment. When one cannot be, its failed
-    search visited exactly the pins reachable from it by alternating paths,
-    all matched, and every eligible pin of it and of their owners lies among
+    Slots are inserted in order by _augment. With by_cost (find_best only)
+    they are inserted one cost level at a time, cheapest first, with dearer
+    pins blocked, and a slot that fails at a level waits for the next; the
+    result is a minimum-cost matching. Without it there is one level and
+    nothing is blocked.
+
+    When a slot cannot be inserted at the last level, where nothing is
+    blocked, the request is infeasible and the slot's failed search
+    visited exactly the pins reachable from it by alternating paths, all
+    matched, and every eligible pin of it and of their owners lies among
     them: those slots' kinds demand more pins than support them (Hall's
     condition fails), which is the witness.
     """
@@ -330,18 +338,33 @@ def _prepare(
                 f"no pin offers an eligible {kind} entry",
                 _witness(problem, (kind,)),
             )
+    # The pins each level blocks, cheapest level first.
+    levels: list = [()]
+    if by_cost:
+        costs = problem.costs
+        pins = {p for supporters in problem.elig.values() for p in supporters}
+        levels = [[p for p in pins if costs[p] > c] for c in sorted({costs[p] for p in pins})]
     owner: dict[int, int] = {}
-    for slot in range(len(problem.slots)):
-        visited: set[int] = set()
-        if not _augment(problem, slot, owner, visited):
-            reached = {slot} | {owner[p] for p in visited}
-            witness = _witness(problem, tuple(sorted({problem.slots[s] for s in reached})))
-            return Infeasible(
-                REASON_PIGEONHOLE,
-                f"{witness.demanded} slots of kinds {{{', '.join(witness.kinds)}}} "
-                f"compete for {len(witness.pins)} eligible pins",
-                witness,
-            )
+    waiting = range(len(problem.slots))
+    for dearer in levels:
+        # A failed search's blocked pins stay unreachable until one succeeds.
+        blocked = {*dearer}
+        left = []
+        for slot in waiting:
+            if _augment(problem, slot, owner, blocked):
+                blocked = {*dearer}
+            elif dearer:
+                left.append(slot)
+            else:
+                reached = {slot} | {owner[p] for p in blocked}
+                witness = _witness(problem, tuple(sorted({problem.slots[s] for s in reached})))
+                return Infeasible(
+                    REASON_PIGEONHOLE,
+                    f"{witness.demanded} slots of kinds {{{', '.join(witness.kinds)}}} "
+                    f"compete for {len(witness.pins)} eligible pins",
+                    witness,
+                )
+        waiting = left
     return problem, owner
 
 
@@ -508,8 +531,10 @@ def find_best(
 
     A pin costs the same whichever slot it serves, so the pin sets of full
     matchings are the bases of a transversal matroid, and the greedy rule
-    (Edmonds 1971) finds a cheapest one: _augment inserts the slots one cost
-    level at a time, cheapest first, with dearer pins blocked. After level c
+    (Edmonds 1971) finds a cheapest one: _prepare, asked by_cost, inserts
+    the slots one cost level at a time, cheapest first, with dearer pins
+    blocked. That matching also decides feasibility, so no other is built,
+    and an infeasible request returns _prepare's Infeasible. After level c
     the matching holds as many pins of cost <= c as any matching can, and a
     matched pin stays matched, so no assignment is cheaper. By the same
     count, every minimum-cost assignment uses the same number of pins of
@@ -527,25 +552,12 @@ def find_best(
     yielded without a repair, and that filter stands in for one.
     """
     options = options or SolveOptions()
-    prepared = _prepare(board, request, options)
+    prepared = _prepare(board, request, options, by_cost=True)
     if isinstance(prepared, Infeasible):
         return prepared
-    problem = prepared[0]
+    problem, owner = prepared
     costs = problem.costs
     pins = sorted({p for supporters in problem.elig.values() for p in supporters})
-    owner: dict[int, int] = {}
-    waiting = list(range(len(problem.slots)))
-    for level in sorted({costs[p] for p in pins}):
-        dearer = [p for p in pins if costs[p] > level]
-        # A failed search's blocked pins stay unreachable until one succeeds.
-        blocked = set(dearer)
-        left = []
-        for slot in waiting:
-            if _augment(problem, slot, owner, blocked):
-                blocked = set(dearer)
-            else:
-                left.append(slot)
-        waiting = left
     best = sum(map(costs.__getitem__, owner))
     levels = {costs[p] for p in owner}
     cut = {kind: [p for p in elig if costs[p] in levels] for kind, elig in problem.elig.items()}

@@ -452,7 +452,7 @@ def test_solve_all_cap_is_checked_before_any_byte(fmt, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: more than {count - 1} solutions; raise the cap or stream with iter_assignments\n"
+        f"error: more than {count - 1} solutions; raise --cap to list them all\n"
     )
 
 

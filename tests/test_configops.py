@@ -7,7 +7,9 @@ from pinassign import (
     Assignment,
     Board,
     BoardMismatchError,
+    ConfigDiff,
     Infeasible,
+    PinChange,
     Request,
     apply_diff,
     diff_assignments,
@@ -127,6 +129,42 @@ def test_apply_diff_rejects_wrong_base(two_pin_board):
     diff = diff_assignments(a, b)
     with pytest.raises(ValueError, match="does not apply"):
         apply_diff(diff, b)
+
+
+def _add_pwm_on_q(base):
+    """A diff that binds pin Q to PWM/T1 on top of base."""
+    return ConfigDiff(("PWM",), (), (PinChange("Q", None, ("PWM", "T1")),), 1)
+
+
+def test_apply_diff_refuses_a_pin_the_base_board_lacks():
+    base = find_best(parse_board("pin P = ANALOG/A0\npin R = ICU/T1"), parse_request("analog"))
+    with pytest.raises(ValueError, match="does not apply: pin Q does not offer PWM/T1"):
+        apply_diff(_add_pwm_on_q(base), base)
+
+
+def test_apply_diff_refuses_an_entry_the_pin_does_not_offer():
+    board = parse_board("pin P = ANALOG/A0\npin Q = ICU/T9")
+    base = find_best(board, parse_request("analog"))
+    with pytest.raises(ValueError, match="does not apply: pin Q does not offer PWM/T1"):
+        apply_diff(_add_pwm_on_q(base), base)
+
+
+def test_extend_refuses_a_base_from_another_board():
+    other = parse_board("pin P1 = PWM/TIM1_CH1\npin P2 = ANALOG\npin P3 = ANALOG")
+    base = find_best(other, parse_request("pwm"))
+    assert base.used_pins == {"P1"}
+    board = parse_board("pin P1 = ICU/TIM1_CH1\npin P2 = ANALOG\npin P3 = ANALOG")
+    with pytest.raises(BoardMismatchError):
+        extend_assignment(board, base, parse_request("analog"))
+
+
+def test_extend_refuses_a_base_whose_pin_the_board_lacks():
+    other = parse_board("pin P1 = ANALOG\npin P2 = PWM\npin P3 = ANALOG")
+    base = find_best(other, parse_request("pwm"))
+    assert base.used_pins == {"P2"}
+    board = parse_board("pin P1 = ANALOG\npin P3 = ANALOG")
+    with pytest.raises(BoardMismatchError):
+        extend_assignment(board, base, parse_request("analog"))
 
 
 def test_extend_adds_serial_pin(two_pin_board):

@@ -507,15 +507,16 @@ def _planted_instance(rng, n_pins, length):
 
 
 def test_best_search_call_count(monkeypatch):
-    """find_best's _augment calls on one 64x24 board, _prepare's matching and
-    the cost-level matching included. The spare slots make each repair see
-    the cost bound, so no open node lacks a minimum-cost solution below it;
-    without them the search still ends on this answer, but only after
-    millions of calls. The count pins today's search exactly."""
+    """find_best's _augment calls on one 64x24 board, its one matching
+    included: _prepare's, built one cost level at a time. The spare slots
+    make each repair see the cost bound, so no open node lacks a
+    minimum-cost solution below it; without them the search still ends on
+    this answer, but only after millions of calls. The count pins today's
+    search exactly."""
     board, request = _planted_instance(random.Random(7), 64, 24)
     count = _count_augments(monkeypatch, limit=10_000)
     best = find_best(board, request)
-    assert count[0] == 380
+    assert count[0] == 237
     assert best.total_cost == 38
     assert [b.pin for b in best.bindings] == [
         "P20", "P23", "P51", "P54", "P1", "P14", "P35", "P18", "P28", "P32", "P34", "P44",
@@ -534,6 +535,87 @@ def test_best_search_does_not_recurse_once_per_spare():
     best = find_best(board, parse_request("analog,analog"))
     assert [b.pin for b in best.bindings] == ["P0", "Q"]
     assert best.total_cost == 3
+
+
+def _assert_same_infeasible(board, request, options=SolveOptions()):
+    """find_best and find_feasible agree on feasibility, and an infeasible
+    request gets the same Infeasible, witness included, from both."""
+    best = find_best(board, request, options)
+    feasible = find_feasible(board, request, options)
+    if isinstance(best, Infeasible) or isinstance(feasible, Infeasible):
+        assert best == feasible
+        return 1
+    return 0
+
+
+def _pigeonhole_instances(rng, count):
+    """Boards of 24-48 pins (costs 1-6) cycling through a planted feasible
+    request, one kind asked once more than it has pins, and two kinds whose
+    pin union is one short while each alone fits."""
+    out = []
+    while len(out) < count:
+        n_pins = rng.randint(24, 48)
+        board, planted = _planted_instance(rng, n_pins, n_pins // 3)
+        offers = {
+            kind: {p for p, pin in enumerate(board.pins) if kind in pin.kinds()}
+            for kind in KIND_POOL
+        }
+        shape = len(out) % 3
+        if shape == 0:
+            slots = planted.slots
+        elif shape == 1:
+            kind = rng.choice([k for k in KIND_POOL if offers[k]])
+            slots = (kind,) * (len(offers[kind]) + 1) + planted.slots[:3]
+        else:
+            pairs = [
+                (a, b)
+                for a, b in itertools.combinations(KIND_POOL, 2)
+                if offers[a] & offers[b] and len(offers[a] | offers[b]) < n_pins
+            ]
+            if not pairs:
+                continue
+            a, b = rng.choice(pairs)
+            union = len(offers[a] | offers[b])
+            slots = (a,) * len(offers[a]) + (b,) * (union + 1 - len(offers[a]))
+        out.append((board, Request(slots)))
+    return out
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_best_and_feasible_agree_on_every_infeasible_request():
+    """find_best's cost-level matching fails on exactly the requests
+    find_feasible's plain one does, with the same witness, so solve-best and
+    diff report the same Infeasible as solve. Seeded families (rule on and
+    off), pigeonhole-shaped mid-size boards, every board of up to 2 pins over
+    3 kinds with padding entries for costs 1-5 against every request of up
+    to 3 slots, and a seeded sample of 3-pin boards."""
+    infeasible = 0
+    for seed in (2024, 7, 11):
+        for rules in ((), ("icu-ch12",)):
+            for board, request in instance_family(seed=seed, count=300):
+                infeasible += _assert_same_infeasible(board, request, SolveOptions(rules=rules))
+    for board, request in _pigeonhole_instances(random.Random(5), 60):
+        infeasible += _assert_same_infeasible(board, request)
+    kinds = ("ANALOG", "ICU", "PWM")
+    pin_types = [
+        (*offered, *(FunctionEntry("CAN_TX", f"D{k}") for k in range(padding)))
+        for n in range(4)
+        for offered in itertools.combinations(map(FunctionEntry, kinds), n)
+        for padding in range(max(0, 1 - n), 6 - n)
+    ]
+    requests = [
+        Request(slots)
+        for n in range(4)
+        for slots in itertools.combinations_with_replacement(kinds, n)
+    ]
+    boards = [()] + [(t,) for t in pin_types] + list(itertools.product(pin_types, repeat=2))
+    rng = random.Random(3)
+    boards += [tuple(rng.choices(pin_types, k=3)) for _ in range(600)]
+    for entries in boards:
+        board = Board(tuple(Pin(f"P{j}", e) for j, e in enumerate(entries)))
+        for request in requests:
+            infeasible += _assert_same_infeasible(board, request)
+    assert infeasible > 20_000
 
 
 @pytest.mark.parametrize(
