@@ -18,15 +18,12 @@ from .board import (
     serialize_board,
 )
 from .codegen import (
-    DEFAULT_FACT_CAP,
-    EmitterCapError,
     EmitterOutput,
     emit_alloy_best_assertions,
     emit_alloy_feasibility_assertion,
     emit_alloy_spec,
     emit_graph_dot,
     emit_prolog,
-    estimate_prolog_facts,
 )
 from .configops import (
     BoardMismatchError,
@@ -66,8 +63,6 @@ __all__ = [
     "BoardMismatchError",
     "BoardParseError",
     "ConfigDiff",
-    "DEFAULT_FACT_CAP",
-    "EmitterCapError",
     "EmitterOutput",
     "EnumerationLimitError",
     "FunctionEntry",
@@ -95,7 +90,6 @@ __all__ = [
     "emit_graph_dot",
     "emit_prolog",
     "enumerate_all",
-    "estimate_prolog_facts",
     "extend_assignment",
     "find_best",
     "find_feasible",

@@ -14,16 +14,16 @@ grammar does not rule out is refused with ValueError: DOT keywords and the
 virtual node names as pin ids, and Alloy signature names that collide, do
 not start with a letter, or are Alloy keywords or fields of Pin.
 
-Every materialized document ends in one call, _document, which measures its
-UTF-8 size. The Prolog fact base is the one large document: its header, one
-block of facts per pin subset, and its rules are pieces written by one loop,
-to the caller's sink or to a buffer. Kind and pin atoms are built once per
-board, so a streamed document holds at most one subset's block in memory.
+The Alloy and DOT documents are returned as text, each through one call,
+_document, which measures its UTF-8 size. The Prolog fact base is the one
+large document, and it is never held whole: its header, one block of facts
+per pin subset, and its rules are pieces written by one loop to the caller's
+sink. Kind and pin atoms are built once per board, so memory holds those
+tables and at most one subset's block.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -31,8 +31,6 @@ from typing import Iterator
 
 from .board import Board, NO_DETAIL
 from .request import Request
-
-DEFAULT_FACT_CAP = 5_000_000
 
 # DOT's keywords, which it reads in any case.
 _DOT_KEYWORDS = {"node", "edge", "graph", "digraph", "subgraph", "strict"}
@@ -76,26 +74,14 @@ minimal([[P0,C0]|Rest], Best) :-
 """
 
 
-class EmitterCapError(RuntimeError):
-    """Non-streamed emission refused: estimated output exceeds the cap."""
-
-    def __init__(self, estimate: int, cap: int):
-        super().__init__(
-            f"estimated {estimate} facts exceeds the cap of {cap}; "
-            "pass a sink to stream instead"
-        )
-        self.estimate = estimate
-        self.cap = cap
-
-
 @dataclass(frozen=True)
 class EmitterOutput:
     """One emitted document with its size statistics.
 
     items counts the payload units of the target: Prolog facts, Alloy pin
-    signatures, Alloy assertions, or DOT nodes plus edges. text is empty when
-    the document was streamed to a sink; nbytes reflects what was written
-    either way.
+    signatures, Alloy assertions, or DOT nodes plus edges. text is empty for
+    the Prolog fact base, which goes to the caller's sink; nbytes is the
+    UTF-8 size of the document either way.
     """
 
     kind: str
@@ -105,21 +91,8 @@ class EmitterOutput:
 
 
 def _document(kind: str, text: str, items: int) -> EmitterOutput:
-    """A materialized document with its UTF-8 size."""
+    """A document returned as text, with its UTF-8 size."""
     return EmitterOutput(kind, text, items, len(text.encode("utf-8")))
-
-
-def estimate_prolog_facts(board: Board, max_len: int) -> int:
-    """Upper bound on the fact count: per-pin kind choices before multiset
-    deduplication, summed over subset sizes 1..max_len via elementary
-    symmetric polynomials."""
-    choices = [len(set(pin.kinds())) for pin in board.pins]
-    limit = min(max_len, len(choices))
-    elementary = [1] + [0] * limit
-    for c in choices:
-        for k in range(limit, 0, -1):
-            elementary[k] += elementary[k - 1] * c
-    return sum(elementary[1:])
 
 
 def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]:
@@ -161,41 +134,28 @@ def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]
     yield "\n" + PROLOG_INFERENCE_RULES, 0
 
 
-def emit_prolog(
-    board: Board,
-    max_len: int,
-    sink=None,
-    cap: int = DEFAULT_FACT_CAP,
-) -> EmitterOutput:
-    """Emit the fact base plus inference rules for a board.
+def emit_prolog(board: Board, max_len: int, sink) -> EmitterOutput:
+    """Write the fact base plus inference rules for a board to sink.
 
     One fact per realizable (sorted kind multiset of length <= max_len,
     distinct pin set) pair, carrying the summed pin cost. Kind atoms are
     lowercased with underscores written as hyphens (quoted when needed);
     pin atoms are lowercased. Atoms are built once per call, and each pin
     subset's facts go out in one write, so memory beyond the per-board atom
-    tables is one subset's block.
+    tables is one subset's block, whatever the document's size.
 
-    Without a sink the whole document is returned in text form, refused with
-    EmitterCapError when the estimated fact count exceeds cap. With a sink
-    (any object with write(str)) the document is streamed regardless of size
-    and the returned text is empty.
+    sink is any object with write(str); a caller who wants the text passes
+    an io.StringIO and reads it back. The returned text is empty; items is
+    the fact count and nbytes the UTF-8 size written. max_len below 1 is
+    refused with ValueError before anything is written.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
-    if sink is None:
-        estimate = estimate_prolog_facts(board, max_len)
-        if estimate > cap:
-            raise EmitterCapError(estimate, cap)
-
-    out = io.StringIO() if sink is None else sink
     nbytes = facts = 0
     for piece, count in _iter_prolog_blocks(board, max_len):
-        out.write(piece)
+        sink.write(piece)
         nbytes += len(piece.encode("utf-8"))
         facts += count
-    if sink is None:
-        return _document("prolog", out.getvalue(), facts)
     return EmitterOutput("prolog", "", facts, nbytes)
 
 

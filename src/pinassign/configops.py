@@ -101,7 +101,10 @@ def apply_diff(diff: ConfigDiff, base: Assignment) -> Assignment:
     board = base.board
     pin_map = base.pin_entry_map()
     for change in diff.pin_changes:
-        pin, new = change.pin, change.new
+        # The board matches ids in any case; the base and the result use
+        # the declared spelling.
+        pin = board.pin(change.pin).id if board.has_pin(change.pin) else change.pin
+        new = change.new
         if pin_map.get(pin) != change.old:
             raise ValueError(f"diff does not apply: pin {pin} differs from base")
         if new is None:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import random
 from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
-from pinassign import Board, FunctionEntry, Pin, Request, parse_board
+from pinassign import Board, FunctionEntry, Pin, Request, emit_prolog, parse_board
 
 TWO_PIN_TEXT = """\
 pin PA1 = ANALOG/ADC1_IN1, ICU/TIM2_CH2, ICU/TIM5_CH2
@@ -86,6 +87,13 @@ def instance_family(seed: int, count: int, max_pins: int = 7, max_len: int = 5):
     for _ in range(count):
         board = random_board(rng, max_pins=max_pins)
         yield board, random_request(rng, board, max_len=max_len)
+
+
+def prolog_text(board: Board, max_len: int):
+    """The fact base emit_prolog writes for board, with its EmitterOutput."""
+    sink = io.StringIO()
+    output = emit_prolog(board, max_len, sink=sink)
+    return sink.getvalue(), output
 
 
 def plain_bindings(assignment) -> tuple[tuple[int, str, str, str], ...]:

@@ -22,7 +22,6 @@ from pinassign import (
     config_space,
     diff_assignments,
     emit_alloy_spec,
-    emit_prolog,
     enumerate_all,
     extend_assignment,
     find_best,
@@ -42,6 +41,7 @@ from conftest import (
     _k_factor_row,
     instance_family,
     plain_bindings,
+    prolog_text,
     random_board,
 )
 
@@ -104,7 +104,7 @@ def test_c3_reference_model_fidelity():
     board = parse_board(TWO_PIN_TEXT)
     prolog_ok = (
         "config([analog,analog],[[pa1,pa2],7])."
-        in emit_prolog(board, 2).text.splitlines()
+        in prolog_text(board, 2)[0].splitlines()
     )
     alloy = emit_alloy_spec(board).text
     pa1_want = (

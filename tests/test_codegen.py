@@ -4,12 +4,12 @@ import hashlib
 import io
 import random
 import re
+import tracemalloc
 
 import pytest
 
 from pinassign import (
     Board,
-    EmitterCapError,
     FunctionEntry,
     Request,
     Semantics,
@@ -20,14 +20,13 @@ from pinassign import (
     emit_alloy_spec,
     emit_graph_dot,
     emit_prolog,
-    estimate_prolog_facts,
     find_best,
     parse_board,
     parse_request,
 )
 from pinassign.oracle import realization_count
 
-from conftest import random_board
+from conftest import prolog_text, random_board
 
 PA1_SIGNATURE = """\
 one sig PA1 extends Pin {} {
@@ -68,13 +67,13 @@ def _read_facts(text):
 
 
 def test_prolog_contains_reference_fact(two_pin_board):
-    output = emit_prolog(two_pin_board, 2)
-    assert "config([analog,analog],[[pa1,pa2],7])." in output.text.splitlines()
+    text, _ = prolog_text(two_pin_board, 2)
+    assert "config([analog,analog],[[pa1,pa2],7])." in text.splitlines()
 
 
 def test_prolog_single_pin_facts(two_pin_board):
-    output = emit_prolog(two_pin_board, 1)
-    lines = output.text.splitlines()
+    text, _ = prolog_text(two_pin_board, 1)
+    lines = text.splitlines()
     assert "config([icu],[[pa1],3])." in lines
     assert "config([analog],[[pa2],4])." in lines
     # length-2 facts excluded at max_len 1
@@ -82,12 +81,12 @@ def test_prolog_single_pin_facts(two_pin_board):
 
 
 def test_prolog_hyphenated_kinds_are_quoted(two_pin_board):
-    output = emit_prolog(two_pin_board, 1)
-    assert "config(['serial-tx'],[[pa2],4])." in output.text.splitlines()
+    text, _ = prolog_text(two_pin_board, 1)
+    assert "config(['serial-tx'],[[pa2],4])." in text.splitlines()
 
 
 def test_prolog_inference_rules_present(two_pin_board):
-    text = emit_prolog(two_pin_board, 2).text
+    text, _ = prolog_text(two_pin_board, 2)
     assert "getConfig(RequiredConfiguration, Pair) :-" in text
     assert "msort(RequiredConfiguration, S)," in text
     assert "allConfigs(RequiredConfiguration, Set) :-" in text
@@ -95,10 +94,17 @@ def test_prolog_inference_rules_present(two_pin_board):
 
 
 def test_prolog_empty_board_emits_rules_only():
-    output = emit_prolog(Board(()), 1)
+    text, output = prolog_text(Board(()), 1)
     assert output.items == 0
-    assert not any(line.startswith("config(") for line in output.text.splitlines())
-    assert "getConfig" in output.text
+    assert not any(line.startswith("config(") for line in text.splitlines())
+    assert "getConfig" in text
+
+
+def test_prolog_refuses_max_len_below_one_before_writing(two_pin_board):
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match="max_len must be positive"):
+        emit_prolog(two_pin_board, 0, sink=sink)
+    assert sink.getvalue() == ""
 
 
 def test_prolog_fact_count_matches_oracle():
@@ -106,9 +112,9 @@ def test_prolog_fact_count_matches_oracle():
     for _ in range(12):
         board = random_board(rng, max_pins=5, max_entries=3)
         max_len = rng.randint(1, 3)
-        output = emit_prolog(board, max_len)
+        text, output = prolog_text(board, max_len)
         assert output.items == realization_count(board, max_len)
-        assert output.items == len(_read_facts(output.text))
+        assert output.items == len(_read_facts(text))
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
@@ -117,7 +123,7 @@ def test_prolog_fact_minimum_agrees_with_find_best():
     for _ in range(10):
         board = random_board(rng, max_pins=5, max_entries=3)
         max_len = rng.randint(1, 3)
-        facts = _read_facts(emit_prolog(board, max_len).text)
+        facts = _read_facts(prolog_text(board, max_len)[0])
         by_kinds = {}
         for kinds, pins, cost in facts:
             by_kinds.setdefault(kinds, []).append(cost)
@@ -127,21 +133,38 @@ def test_prolog_fact_minimum_agrees_with_find_best():
             assert outcome.total_cost == min(costs), (board, kinds)
 
 
-def test_prolog_streaming_matches_materialized(two_pin_board):
+def test_prolog_nbytes_counts_utf8_bytes_written(two_pin_board):
     # a board name is free text and reaches the header: nbytes counts UTF-8
     # bytes, not characters ("ü" and "µ" take two bytes each)
     named = Board(two_pin_board.pins, "Prüfstand µC")
-    for board in (two_pin_board, named):
-        materialized = emit_prolog(board, 2)
-        sink = io.StringIO()
-        streamed = emit_prolog(board, 2, sink=sink)
-        assert sink.getvalue() == materialized.text
-        assert streamed.text == ""
-        assert streamed.items == materialized.items
-        assert streamed.nbytes == materialized.nbytes
-        assert streamed.nbytes == len(sink.getvalue().encode("utf-8"))
-        assert materialized.nbytes == len(materialized.text.encode("utf-8"))
-    assert (streamed.nbytes, len(materialized.text)) == (993, 991)
+    text, output = prolog_text(named, 2)
+    assert output.text == ""
+    assert output.nbytes == len(text.encode("utf-8"))
+    assert (output.nbytes, len(text)) == (993, 991)
+
+
+class _CountingSink:
+    """A sink that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, piece):
+        self.chars += len(piece)
+
+
+def test_prolog_streaming_keeps_memory_bounded(demo_board):
+    """The demo's 572 KB fact base at max_len 3 streams in a small fraction
+    of its size: memory holds the atom tables and one pin subset's block."""
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        output = emit_prolog(demo_board, 3, sink=sink)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (output.nbytes, sink.chars) == (572_126, 572_126)
+    assert peak < output.nbytes // 10
 
 
 @pytest.mark.parametrize(
@@ -154,13 +177,10 @@ def test_prolog_streaming_matches_materialized(two_pin_board):
 )
 def test_prolog_demo_fact_base_golden(demo_board, max_len, facts, nbytes, sha256):
     """The demo board's fact bases, byte for byte."""
-    sink = io.StringIO()
-    output = emit_prolog(demo_board, max_len, sink=sink)
-    data = sink.getvalue().encode("utf-8")
+    text, output = prolog_text(demo_board, max_len)
+    data = text.encode("utf-8")
     assert (output.items, output.nbytes, len(data)) == (facts, nbytes, nbytes)
     assert hashlib.sha256(data).hexdigest() == sha256
-    if max_len == 3:
-        assert emit_prolog(demo_board, max_len).text == sink.getvalue()
 
 
 def test_prolog_facts_list_kinds_in_atom_order():
@@ -168,29 +188,13 @@ def test_prolog_facts_list_kinds_in_atom_order():
     character codes: 'can-tx' @< canx, since "-" (45) < "x" (120), although
     CAN_TX sorts after CANX by name ("_" is 95)."""
     board = parse_board("pin P1 = CAN_TX\npin P2 = CANX\n")
-    output = emit_prolog(board, 2)
-    assert "config(['can-tx',canx],[[p1,p2],2])." in output.text.splitlines()
-    facts = _read_facts(output.text)
+    text, _ = prolog_text(board, 2)
+    assert "config(['can-tx',canx],[[p1,p2],2])." in text.splitlines()
+    facts = _read_facts(text)
     assert (("CAN_TX", "CANX"), ("p1", "p2"), 2) in facts
     for kinds, _, _ in facts:
         atoms = [kind.lower().replace("_", "-") for kind in kinds]
         assert atoms == sorted(atoms)
-
-
-def test_prolog_cap_refusal_reports_estimate(two_pin_board):
-    with pytest.raises(EmitterCapError) as exc:
-        emit_prolog(two_pin_board, 2, cap=3)
-    assert exc.value.estimate >= 10
-    # streaming ignores the cap
-    sink = io.StringIO()
-    assert emit_prolog(two_pin_board, 2, sink=sink, cap=3).items == 10
-
-
-def test_prolog_estimate_upper_bounds_reality():
-    rng = random.Random(33)
-    for _ in range(10):
-        board = random_board(rng, max_pins=5, max_entries=3)
-        assert estimate_prolog_facts(board, 3) >= emit_prolog(board, 3).items
 
 
 # --- Alloy instance model

@@ -149,6 +149,35 @@ def test_apply_diff_refuses_an_entry_the_pin_does_not_offer():
         apply_diff(_add_pwm_on_q(base), base)
 
 
+# Pin ids match in any case; apply_diff must bind and compare the declared id.
+_CASE_BOARD = "pin P = ANALOG, PWM/T1\npin Q = PWM/T1, ICU/T9\npin R = ANALOG"
+
+
+def test_apply_diff_refuses_to_bind_a_pin_twice_under_another_spelling():
+    board = parse_board(_CASE_BOARD)
+    base = find_best(board, parse_request("icu"))
+    assert base.used_pins == {"Q"}
+    diff = ConfigDiff(("PWM",), (), (PinChange("q", None, ("PWM", "T1")),), 1)
+    with pytest.raises(ValueError, match="does not apply: pin Q differs from base"):
+        apply_diff(diff, base)
+
+
+def test_apply_diff_binds_the_declared_pin_id():
+    board = parse_board(_CASE_BOARD)
+    base = find_best(board, parse_request("pwm"))
+    diff = ConfigDiff(("ANALOG",), (), (PinChange("r", None, ("ANALOG", "-")),), 1)
+    result = apply_diff(diff, base)
+    assert result == find_best(board, parse_request("analog,pwm"))
+    assert result.used_pins == {"P", "R"}
+
+
+def test_apply_diff_removes_a_pin_named_in_another_case():
+    board = parse_board(_CASE_BOARD)
+    base = find_best(board, parse_request("icu"))
+    diff = ConfigDiff((), ("ICU",), (PinChange("q", ("ICU", "T9"), None),), -2)
+    assert apply_diff(diff, base) == Assignment((), 0, board)
+
+
 def test_extend_refuses_a_base_from_another_board():
     other = parse_board("pin P1 = PWM/TIM1_CH1\npin P2 = ANALOG\npin P3 = ANALOG")
     base = find_best(other, parse_request("pwm"))
