@@ -41,7 +41,6 @@ from .request import Request, parse_request
 from .solver import (
     AllPinsUsedWarning,
     Assignment,
-    Binding,
     Infeasible,
     RULES_BY_NAME,
     Semantics,
@@ -97,19 +96,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "validate", parents=[board, fmt], help="check a board file (and optionally a request)"
     )
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("--request", metavar="LIST", help="request to validate against the board")
 
-    sub.add_parser("solve", parents=solving, help="find one feasible assignment")
+    p = sub.add_parser("solve", parents=solving, help="find one feasible assignment")
+    p.set_defaults(run=_cmd_solve, solve=find_feasible)
 
     p = sub.add_parser("solve-all", parents=solving, help="enumerate all assignments")
+    p.set_defaults(run=_cmd_solve_all)
     p.add_argument("--semantics", choices=["pinsets", "labeled"], default="pinsets")
     p.add_argument(
         "--cap", type=int, default=SolveOptions.enumeration_cap, help="enumeration limit"
     )
 
-    sub.add_parser("solve-best", parents=solving, help="find a minimum-cost assignment")
+    p = sub.add_parser("solve-best", parents=solving, help="find a minimum-cost assignment")
+    p.set_defaults(run=_cmd_solve, solve=find_best)
 
     p = sub.add_parser("count", parents=[fmt], help="size of the configuration space")
+    p.set_defaults(run=_cmd_count)
     p.add_argument("--pins", type=int, metavar="N", help="pin count (formula mode)")
     p.add_argument(
         "--functions", type=int, metavar="M", help="configurations per pin (formula mode)"
@@ -118,6 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--board", metavar="FILE", help="count a concrete board instead")
 
     p = sub.add_parser("emit", help="emit a model-checking document")
+    p.set_defaults(run=_cmd_emit)
     p.add_argument("--target", required=True, choices=list(_EMIT_READS))
     p.add_argument("--board", metavar="FILE")
     p.add_argument("--request", metavar="LIST")
@@ -125,6 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="write to a file instead of stdout")
 
     p = sub.add_parser("graph", parents=[board], help="emit the domain graph in DOT form")
+    p.set_defaults(run=_cmd_graph)
     p.add_argument("--out", metavar="FILE")
 
     requests = _flag(
@@ -134,11 +140,13 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="request to merge (repeatable)",
     )
-    sub.add_parser("merge", parents=[requests, fmt], help="merge requests into one")
+    p = sub.add_parser("merge", parents=[requests, fmt], help="merge requests into one")
+    p.set_defaults(run=_cmd_merge)
 
     p = sub.add_parser(
         "diff", parents=[board, rule, fmt], help="compare the best assignments of two requests"
     )
+    p.set_defaults(run=_cmd_diff)
     p.add_argument(
         "--request",
         action="append",
@@ -148,6 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("bench", parents=solving, help="timing table over request prefixes")
+    p.set_defaults(run=_cmd_bench)
     p.add_argument("--max-len", type=int, metavar="N", help="longest prefix to run")
 
     return parser
@@ -184,13 +193,9 @@ def _outcome_doc(outcome: SolveOutcome) -> dict:
         return {"status": "infeasible", "reason": outcome.reason, "witness": witness}
     return {
         "status": "feasible",
-        "assignment": [_binding_doc(b) for b in outcome.bindings],
+        "assignment": [asdict(b) for b in outcome.bindings],
         "cost": outcome.total_cost,
     }
-
-
-def _binding_doc(b: Binding) -> dict:
-    return {"slot": b.slot, "kind": b.kind, "pin": b.pin, "detail": b.detail}
 
 
 def _outcome_text(outcome: SolveOutcome) -> None:
@@ -242,10 +247,9 @@ def _validate_text(doc: dict) -> None:
 
 
 def _cmd_solve(args) -> int:
-    solve = find_best if args.command == "solve-best" else find_feasible
     board = _read_board(args.board)
     request = parse_request(args.request)
-    outcome = solve(board, request, SolveOptions(rules=tuple(args.rule)))
+    outcome = args.solve(board, request, SolveOptions(rules=tuple(args.rule)))
     _show(args, outcome, _outcome_doc, _outcome_text)
     return EXIT_INFEASIBLE if isinstance(outcome, Infeasible) else EXIT_OK
 
@@ -256,9 +260,10 @@ def _cmd_solve_all(args) -> int:
     The report is the document of enumerate_all's list, but no list is kept:
     the solutions are streamed once to count them, so that the count heads
     the report and a run over --cap writes nothing, once to write them, and
-    for JSON once more to write their costs. Each Binding's piece is
-    rendered once and reused in every solution holding it; a solve shares
-    one Binding per (slot, pin), so the caches stay that small. Each
+    for JSON once more to write their costs. A text piece is cheaper to
+    format than to look up, so only JSON pieces are cached: each Binding's
+    is rendered once and reused in every solution holding it, and a solve
+    shares one Binding per (slot, pin), so the cache stays that small. Each
     solution goes out in its own write, so memory stays that of one stream.
     """
     board = _read_board(args.board)
@@ -275,9 +280,8 @@ def _cmd_solve_all(args) -> int:
     write = sys.stdout.write
     if args.format == "text":
         write(f"{count} solutions ({args.semantics})\n")
-        piece = cache(lambda b: f"{b.pin}:{b.kind}/{b.detail}")
         for n, a in enumerate(solutions(), start=1):
-            pins = ", ".join(map(piece, a.bindings))
+            pins = ", ".join([f"{b.pin}:{b.kind}/{b.detail}" for b in a.bindings])
             write(f"  [{n}] cost {a.total_cost}: {pins}\n")
         return EXIT_OK if count else EXIT_INFEASIBLE
 
@@ -290,7 +294,7 @@ def _cmd_solve_all(args) -> int:
         write('  "assignments": [],\n  "costs": []\n}\n')
         return EXIT_INFEASIBLE
     fragment = cache(
-        lambda b: "      " + json.dumps(_binding_doc(b), indent=2).replace("\n", "\n      ")
+        lambda b: "      " + json.dumps(asdict(b), indent=2).replace("\n", "\n      ")
     )
 
     def assignment(a: Assignment) -> str:
@@ -515,20 +519,6 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "validate": _cmd_validate,
-    "solve": _cmd_solve,
-    "solve-all": _cmd_solve_all,
-    "solve-best": _cmd_solve,
-    "count": _cmd_count,
-    "emit": _cmd_emit,
-    "graph": _cmd_graph,
-    "merge": _cmd_merge,
-    "diff": _cmd_diff,
-    "bench": _cmd_bench,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse argv and dispatch; returns the process exit code.
 
@@ -552,13 +542,8 @@ def run(argv: list[str] | None = None) -> int:
         warnings.simplefilter("always", AllPinsUsedWarning)
         warnings.showwarning = show
         try:
-            return _COMMANDS[args.command](args)
-        except (
-            OSError,
-            ValueError,
-            KeyError,
-            RecursionError,
-        ) as exc:
+            return args.run(args)
+        except (OSError, ValueError, KeyError, RecursionError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_ERROR
 

@@ -23,11 +23,16 @@ class BoardMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class PinChange:
-    """One pin whose binding differs: old and new are (kind, detail) or None."""
+    """One pin whose binding differs: old and new are (kind, detail) or None,
+    and a change whose old equals its new is refused with ValueError."""
 
     pin: str
     old: tuple[str, str] | None
     new: tuple[str, str] | None
+
+    def __post_init__(self):
+        if self.old == self.new:
+            raise ValueError(f"change of pin {self.pin} changes nothing")
 
 
 @dataclass(frozen=True)

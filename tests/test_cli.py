@@ -1,5 +1,6 @@
 """CLI contract: exit codes, JSON shapes, determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -32,6 +33,7 @@ from pinassign import (
     parse_request,
     serialize_board,
 )
+from pinassign import cli
 from pinassign.cli import run
 
 from best_references import best_by_enumeration, best_by_threshold
@@ -141,6 +143,16 @@ def test_solve_best_strategies_match(two_pin_file, capsys):
         expected = reference(board, request)
         assert [row["pin"] for row in doc["assignment"]] == [b.pin for b in expected.bindings]
         assert doc["cost"] == expected.total_cost
+
+
+def test_every_subcommand_binds_a_handler():
+    # run() calls the handler its subparser binds; one without would escape
+    # the exit contract as an AttributeError.
+    parser = cli._build_parser()
+    (subcommands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(subcommands.choices) == 10
+    for name, subparser in subcommands.choices.items():
+        assert callable(subparser.get_default("run")), name
 
 
 def test_solve_and_solve_best_pick_their_solvers(capsys):

@@ -178,6 +178,20 @@ def test_apply_diff_removes_a_pin_named_in_another_case():
     assert apply_diff(diff, base) == Assignment((), 0, board)
 
 
+# A PinChange whose old equals its new is refused where it is built, so
+# apply_diff never meets one.
+@pytest.mark.parametrize(
+    "pin, entry",
+    [("PA1", None), ("ZZ", None), ("PA5", ("ICU", "TIM2_CH1"))],
+    ids=["unused-pin", "pin-not-on-board", "unchanged-bound-entry"],
+)
+def test_a_pin_change_that_changes_nothing_is_refused(demo_board, pin, entry):
+    base = find_best(demo_board, parse_request("icu"))
+    assert base.pin_entry_map() == {"PA5": ("ICU", "TIM2_CH1")}
+    with pytest.raises(ValueError, match=f"change of pin {pin} changes nothing"):
+        apply_diff(ConfigDiff((), (), (PinChange(pin, entry, entry),), 0), base)
+
+
 def test_extend_refuses_a_base_from_another_board():
     other = parse_board("pin P1 = PWM/TIM1_CH1\npin P2 = ANALOG\npin P3 = ANALOG")
     base = find_best(other, parse_request("pwm"))

@@ -467,6 +467,16 @@ def test_enumeration_pruning_call_counts(demo_board, monkeypatch, options, solut
     assert count[0] == calls
 
 
+def test_streamed_solutions_share_their_bindings(demo_board):
+    """A solve builds one Binding per (slot, pin) and every solution holding
+    that pair reuses it, which keeps the CLI's per-Binding JSON cache small."""
+    request = parse_request("analog,analog,analog,icu,analog,analog")
+    solutions = list(iter_assignments(demo_board, request, LABELED))
+    bindings = [b for a in solutions for b in a.bindings]
+    assert len(solutions) == 3_480
+    assert len({id(b) for b in bindings}) == len({(b.slot, b.pin) for b in bindings}) == 39
+
+
 def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
     """ICU, PWM and SERIAL_TX each have four pins, but once the ANALOG slots
     take P0 and P1 the three kinds share two. No single kind is short, so only
