@@ -446,7 +446,7 @@ def bench(
     board: Board,
     request: Request,
     max_len: int,
-    options: SolveOptions | None = None,
+    options: SolveOptions = SolveOptions(),
 ) -> list[dict]:
     """Run the three use cases on every request prefix of length 1..max_len.
 
@@ -458,7 +458,6 @@ def bench(
         raise ValueError(
             f"max_len must be between 1 and the request length {request.length}, got {max_len}"
         )
-    options = options or SolveOptions()
     rows: list[dict] = []
     for length in range(1, max_len + 1):
         prefix = Request(request.slots[:length])
@@ -516,7 +515,7 @@ def _cmd_bench(args) -> int:
     max_len = args.max_len if args.max_len is not None else request.length
     rows = bench(board, request, max_len, SolveOptions(rules=tuple(args.rule)))
     _show(args, rows, lambda rows: {"rows": rows}, lambda rows: print(format_bench_table(rows)))
-    return EXIT_OK
+    return EXIT_ERROR if any("error" in row for row in rows) else EXIT_OK
 
 
 def run(argv: list[str] | None = None) -> int:

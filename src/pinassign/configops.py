@@ -125,7 +125,7 @@ def extend_assignment(
     board: Board,
     base: Assignment,
     extra: Request,
-    options: SolveOptions | None = None,
+    options: SolveOptions = SolveOptions(),
 ) -> SolveOutcome:
     """Solve the extra request on the pins left free by base, keeping base
     bindings frozen, and return the combined assignment.

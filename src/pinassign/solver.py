@@ -25,11 +25,11 @@ the caller rules out (a repair's bound pins) and every pin it has tried. A
 labeled search therefore opens no node without a solution below it, and
 find_feasible is its first solution. When the initial matching fails, the
 infeasibility witness is read from the pins that failed search blocked.
-find_best runs the same search on a minimum-cost matching, which _prepare
-builds in the same loop, one cost level at a time, cheapest first; it is
-the only matching a solve builds. The candidates are then cut to the levels
-it uses, and spare slots, matched but never bound, hold the pins a
-minimum-cost assignment leaves free, so its first labeled solution of that
+find_best runs the same search on the instance _prepare builds by_cost: a
+minimum-cost matching, inserted in the same loop one cost level at a time,
+cheapest first (the only matching a solve builds), candidates cut to the
+levels it uses, and spare slots, matched but never bound, holding the pins
+a minimum-cost assignment leaves free. Its first labeled solution of that
 cost is the answer. quick_reject reads the eligibility table
 (_Problem.elig) to reject a request some kind of which has too few pins,
 before any search.
@@ -235,11 +235,11 @@ def _augment(problem: _Problem, slot: int, owner: dict[int, int], blocked: set[i
     and blocked has gained every pin reachable from slot by alternating
     paths.
 
-    find_best's spare slots are numbered -1, -2, ..., so problem.options
-    reads their candidates from its end. A spare does not search on from a
-    pin another spare holds: spares of one cost level share one candidate
-    list, so that spare reaches no pin this one does not, and without the
-    skip a search could recurse once per spare.
+    The spare slots _prepare adds by_cost are numbered -1, -2, ..., so
+    problem.options reads their candidates from its end. A spare does not
+    search on from a pin another spare holds: spares of one cost level
+    share one candidate list, so that spare reaches no pin this one does
+    not, and without the skip a search could recurse once per spare.
     """
     for p in problem.options[slot]:
         if p in blocked:
@@ -310,11 +310,16 @@ def _prepare(
 ) -> tuple[_Problem, dict[int, int]] | Infeasible:
     """Build the instance and one matching of all its slots (pin -> slot).
 
-    Slots are inserted in order by _augment. With by_cost (find_best only)
-    they are inserted one cost level at a time, cheapest first, with dearer
-    pins blocked, and a slot that fails at a level waits for the next; the
-    result is a minimum-cost matching. Without it there is one level and
-    nothing is blocked.
+    Slots are inserted in order by _augment. Without by_cost there is one
+    level and nothing is blocked. With by_cost (find_best only) they are
+    inserted one cost level at a time, cheapest first, with dearer pins
+    blocked, and a slot that fails at a level waits for the next. A pin
+    costs the same whichever slot it serves, so the pin sets of full
+    matchings are the bases of a transversal matroid, and this greedy rule
+    (Edmonds 1971) finds a cheapest one: after level c the matching holds
+    as many pins of cost <= c as any matching can, and a matched pin stays
+    matched, so no assignment is cheaper. By the same count, every
+    minimum-cost assignment uses the same number of pins of each cost.
 
     When a slot cannot be inserted at the last level, where nothing is
     blocked, the request is infeasible and the slot's failed search
@@ -322,6 +327,16 @@ def _prepare(
     matched, and every eligible pin of it and of their owners lies among
     them: those slots' kinds demand more pins than support them (Hall's
     condition fails), which is the witness.
+
+    By_cost, the instance returned is the cheapest search: the candidate
+    lists are cut to the levels the matching uses, and owner gains one
+    spare slot per free pin of a used level, eligible for every pin of that
+    level. The spares leave the real slots as many pins of each level as
+    the matching uses, no more, so the real slots of any matching of slots
+    and spares form a minimum-cost assignment, and every minimum-cost
+    assignment extends to such a matching. The enumerator's repairs
+    therefore keep one below every open node; spares are matched but never
+    bound.
     """
     if 0 < request.length == len(board):
         warnings.warn(
@@ -342,7 +357,7 @@ def _prepare(
     levels: list = [()]
     if by_cost:
         costs = problem.costs
-        pins = {p for supporters in problem.elig.values() for p in supporters}
+        pins = sorted({p for supporters in problem.elig.values() for p in supporters})
         levels = [[p for p in pins if costs[p] > c] for c in sorted({costs[p] for p in pins})]
     owner: dict[int, int] = {}
     waiting = range(len(problem.slots))
@@ -365,6 +380,18 @@ def _prepare(
                     witness,
                 )
         waiting = left
+    if by_cost:
+        used = {costs[p] for p in owner}
+        cut = {kind: [p for p in elig if costs[p] in used] for kind, elig in problem.elig.items()}
+        problem.options = [cut[kind] for kind in problem.slots]
+        spares = []  # the candidates of spare slots -1, -2, ...
+        for level in sorted(used):
+            level_pins = [p for p in pins if costs[p] == level]
+            for p in level_pins:
+                if p not in owner:
+                    spares.append(level_pins)
+                    owner[p] = -len(spares)
+        problem.options += reversed(spares)
     return problem, owner
 
 
@@ -374,7 +401,7 @@ def _iter_bindings(
     """Depth-first enumeration of valid assignments in lexicographic order.
 
     owner is a matching of all slots (pin -> slot), as _prepare builds it;
-    find_best's also holds spare slots past the request's, which are matched
+    by_cost, it also holds spare slots past the request's, which are matched
     but never bound. The search keeps it a matching whose bound slots sit on
     their chosen pins: binding slot i to pin p frees i's pin, and if an
     unbound slot j held p, one _augment from j either moves j elsewhere or
@@ -474,7 +501,7 @@ def _iter_bindings(
 
 
 def find_feasible(
-    board: Board, request: Request, options: SolveOptions | None = None
+    board: Board, request: Request, options: SolveOptions = SolveOptions()
 ) -> SolveOutcome:
     """Return the lexicographically smallest valid assignment, or Infeasible.
 
@@ -483,7 +510,6 @@ def find_feasible(
     order, so reruns and slot permutations of the same request give the same
     answer.
     """
-    options = options or SolveOptions()
     prepared = _prepare(board, request, options)
     if isinstance(prepared, Infeasible):
         return prepared
@@ -491,10 +517,9 @@ def find_feasible(
 
 
 def iter_assignments(
-    board: Board, request: Request, options: SolveOptions | None = None
+    board: Board, request: Request, options: SolveOptions = SolveOptions()
 ) -> Iterator[Assignment]:
     """Stream all solutions under the chosen semantics, lexicographically."""
-    options = options or SolveOptions()
     prepared = _prepare(board, request, options)
     if isinstance(prepared, Infeasible):
         return
@@ -502,7 +527,7 @@ def iter_assignments(
 
 
 def enumerate_all(
-    board: Board, request: Request, options: SolveOptions | None = None
+    board: Board, request: Request, options: SolveOptions = SolveOptions()
 ) -> list[Assignment]:
     """Materialize all solutions under the chosen semantics.
 
@@ -510,7 +535,6 @@ def enumerate_all(
     instead of materializing more than options.enumeration_cap solutions;
     use iter_assignments to stream larger spaces.
     """
-    options = options or SolveOptions()
     # _prepare directly, not through iter_assignments, so that its
     # AllPinsUsedWarning names this function's caller.
     prepared = _prepare(board, request, options)
@@ -525,49 +549,20 @@ def enumerate_all(
 
 
 def find_best(
-    board: Board, request: Request, options: SolveOptions | None = None
+    board: Board, request: Request, options: SolveOptions = SolveOptions()
 ) -> SolveOutcome:
     """Return the minimum-total-cost assignment, ties broken lexicographically.
 
-    A pin costs the same whichever slot it serves, so the pin sets of full
-    matchings are the bases of a transversal matroid, and the greedy rule
-    (Edmonds 1971) finds a cheapest one: _prepare, asked by_cost, inserts
-    the slots one cost level at a time, cheapest first, with dearer pins
-    blocked. That matching also decides feasibility, so no other is built,
-    and an infeasible request returns _prepare's Infeasible. After level c
-    the matching holds as many pins of cost <= c as any matching can, and a
-    matched pin stays matched, so no assignment is cheaper. By the same
-    count, every minimum-cost assignment uses the same number of pins of
-    each cost.
-
-    The search then reads candidate lists cut to the levels that matching
-    uses, and owner gains one spare slot per free pin of a used level,
-    eligible for every pin of that level. The spares leave the real slots
-    as many pins of each level as the matching uses, no more, so the real
-    slots of any matching of slots and spares form a minimum-cost
-    assignment, and every minimum-cost assignment extends to such a
-    matching. The enumerator's repairs therefore keep one below every open
-    node; spares are matched but never bound. The answer is the first
-    labeled solution costing as much as the matching: the last slot is
-    yielded without a repair, and that filter stands in for one.
+    _prepare, asked by_cost, builds a minimum-cost matching and the search
+    whose solutions are exactly the minimum-cost assignments; that matching
+    also decides feasibility, so an infeasible request returns _prepare's
+    Infeasible. The answer is the first labeled solution costing as much as
+    the matching's real slots: the last slot is yielded without a repair,
+    and that filter stands in for one.
     """
-    options = options or SolveOptions()
     prepared = _prepare(board, request, options, by_cost=True)
     if isinstance(prepared, Infeasible):
         return prepared
     problem, owner = prepared
-    costs = problem.costs
-    pins = sorted({p for supporters in problem.elig.values() for p in supporters})
-    best = sum(map(costs.__getitem__, owner))
-    levels = {costs[p] for p in owner}
-    cut = {kind: [p for p in elig if costs[p] in levels] for kind, elig in problem.elig.items()}
-    problem.options = [cut[kind] for kind in problem.slots]
-    spares = []  # the candidates of spare slots -1, -2, ...
-    for level in sorted(levels):
-        level_pins = [p for p in pins if costs[p] == level]
-        for p in level_pins:
-            if p not in owner:
-                spares.append(level_pins)
-                owner[p] = -len(spares)
-    problem.options += reversed(spares)
+    best = sum(problem.costs[p] for p, slot in owner.items() if slot >= 0)
     return next(a for a in _iter_bindings(problem, owner, Semantics.LABELED) if a.total_cost == best)

@@ -73,6 +73,15 @@ def test_missing_equals_rejected():
         parse_board("pin PA1 ANALOG")
 
 
+def test_written_out_dash_detail_rejected():
+    """A file may only omit a detail, although "-" is how a FunctionEntry
+    holds an omitted one, so the parser refuses what the constructor takes."""
+    assert FunctionEntry("ANALOG", "-") == FunctionEntry("ANALOG")
+    with pytest.raises(BoardParseError) as exc:
+        parse_board("pin P = ANALOG/-")
+    assert str(exc.value) == "line 1, column 9: invalid detail '-'"
+
+
 def test_error_reports_line_and_column():
     with pytest.raises(BoardParseError) as exc:
         parse_board("pin PA1 = ANALOG\npin PA2 = 9bad")

@@ -415,6 +415,33 @@ def test_bench_max_len_bound(two_pin_file, capsys, max_len):
     assert run(["bench", "--board", two_pin_file, "--request", "icu", "--max-len", max_len]) == 2
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bench_error_row_is_printed_then_exits_2(monkeypatch, capsys, fmt):
+    """A length that raises keeps its row and the rest of the table, and the
+    run then exits 2 like any other error."""
+
+    def find_best(board, request, options):
+        if request.length >= 2:
+            raise RecursionError("maximum recursion depth exceeded")
+        return solve_best(board, request, options)
+
+    solve_best = cli.find_best
+    monkeypatch.setattr(cli, "find_best", find_best)
+    argv = ["bench", "--board", DEMO, "--request", "analog,icu,pwm", "--format", fmt]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    error = "maximum recursion depth exceeded"
+    if fmt == "json":
+        rows = json.loads(captured.out)["rows"]
+        assert [row.get("error") for row in rows] == [None, error, error]
+        assert rows[0]["best_cost"] is not None
+    else:
+        lines = captured.out.splitlines()
+        assert len(lines) == 4
+        assert lines[2:] == [f"     2 error: {error}", f"     3 error: {error}"]
+
+
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
 def test_bench_ten_rows_on_demo_board(capsys):
     request = "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"

@@ -50,6 +50,11 @@ def test_k_factor_rejects_nonpositive():
         k_factor(1, 0)
 
 
+def test_config_space_rejects_no_kinds():
+    with pytest.raises(ValueError, match="^m must be positive$"):
+        config_space(3, 0, 2)
+
+
 def test_config_space_worked_totals():
     assert config_space(4, 1, 4) == 15
     assert config_space(4, 2, 4) == 47

@@ -1,5 +1,7 @@
 """Solver: reference examples, oracle spot checks, invariants, witnesses."""
 
+import dataclasses
+import inspect
 import itertools
 import random
 import re
@@ -22,13 +24,14 @@ from pinassign import (
     SolveOptions,
     check_witness,
     enumerate_all,
+    extend_assignment,
     find_best,
     find_feasible,
     iter_assignments,
     parse_board,
     parse_request,
 )
-from pinassign.cli import run
+from pinassign.cli import bench, run
 from pinassign import solver
 from pinassign.solver import _Problem
 from pinassign.oracle import brute_force_solve
@@ -157,6 +160,20 @@ def test_solve_options_with_rules_are_values(two_pin_board):
     assert repr(a) == repr(b)
     assert "0x" not in repr(a)
     assert "'icu-ch12'" in repr(a)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [find_feasible, iter_assignments, enumerate_all, find_best, extend_assignment, bench],
+    ids=lambda solve: solve.__name__,
+)
+def test_options_default_to_one_shared_value(solve):
+    """Every solve without options reads one SolveOptions() built once, which
+    is safe to share because it is frozen."""
+    default = inspect.signature(solve).parameters["options"].default
+    assert default == SolveOptions()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        default.rules = ("icu-ch12",)
 
 
 def test_icu_rule_turns_channel3_board_infeasible():
