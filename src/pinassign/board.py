@@ -29,6 +29,9 @@ values and reports a value's fault at its line and column.
 
 from __future__ import annotations
 
+__all__ = ["Board", "BoardParseError", "FunctionEntry", "NO_DETAIL", "Pin", "board_stats",
+           "canonical_kind", "parse_board", "serialize_board"]
+
 import re
 from dataclasses import dataclass, field
 

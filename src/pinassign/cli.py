@@ -104,7 +104,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-all", parents=solving, help="enumerate all assignments")
     p.set_defaults(run=_cmd_solve_all)
-    p.add_argument("--semantics", choices=["pinsets", "labeled"], default="pinsets")
+    p.add_argument(
+        "--semantics", choices=[s.value for s in Semantics], default=SolveOptions.semantics.value
+    )
     p.add_argument(
         "--cap", type=int, default=SolveOptions.enumeration_cap, help="enumeration limit"
     )

@@ -24,6 +24,9 @@ tables and at most one subset's block.
 
 from __future__ import annotations
 
+__all__ = ["EmitterOutput", "emit_alloy_best_assertions", "emit_alloy_feasibility_assertion",
+           "emit_alloy_spec", "emit_graph_dot", "emit_prolog"]
+
 import itertools
 from collections import Counter
 from dataclasses import dataclass

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+__all__ = ["BoardMismatchError", "ConfigDiff", "PinChange", "apply_diff", "diff_assignments",
+           "extend_assignment", "merge_requests"]
+
 from collections import Counter
 from dataclasses import dataclass
 

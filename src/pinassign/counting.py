@@ -11,6 +11,8 @@ overflow).
 
 from __future__ import annotations
 
+__all__ = ["config_space", "config_space_board", "k_factor"]
+
 import math
 
 

@@ -11,6 +11,8 @@ module checks a request against a board (quick_reject, the solves).
 
 from __future__ import annotations
 
+__all__ = ["Request", "RequestParseError", "parse_request"]
+
 from dataclasses import dataclass
 
 from .board import CANONICAL_KIND_RE, canonical_kind

@@ -52,6 +52,10 @@ remembers every distinct pin set it has yielded.
 
 from __future__ import annotations
 
+__all__ = ["AllPinsUsedWarning", "Assignment", "Binding", "EnumerationLimitError", "Infeasible",
+           "Rejection", "Semantics", "SolveOptions", "SolveOutcome", "Witness", "check_witness",
+           "enumerate_all", "find_best", "find_feasible", "iter_assignments", "quick_reject"]
+
 import re
 import warnings
 from collections import Counter
@@ -104,13 +108,21 @@ def rule_patterns(rules: tuple[str, ...]) -> list[tuple[str, re.Pattern]]:
 @dataclass(frozen=True)
 class SolveOptions:
     """How to solve: the semantics, the eligibility rules by name, and how
-    many solutions enumerate_all may materialize (at least 0)."""
+    many solutions enumerate_all may materialize (at least 0). Building one
+    with a field outside these raises ValueError."""
 
     semantics: Semantics = Semantics.UNIQUE_PIN_SETS
     rules: tuple[str, ...] = ()  # keys of RULES_BY_NAME
     enumeration_cap: int = 1_000_000
 
     def __post_init__(self):
+        if not isinstance(self.semantics, Semantics):
+            raise ValueError(f"semantics must be a Semantics member, got {self.semantics!r}")
+        if not isinstance(self.rules, tuple):
+            raise ValueError(f"rules must be a tuple of rule names, got {self.rules!r}")
+        rule_patterns(self.rules)
+        if not isinstance(self.enumeration_cap, int):
+            raise ValueError(f"enumeration cap must be an integer, got {self.enumeration_cap!r}")
         if self.enumeration_cap < 0:
             raise ValueError(f"enumeration cap must be >= 0, got {self.enumeration_cap}")
 
@@ -287,9 +299,11 @@ def quick_reject(board: Board, request: Request) -> Rejection | None:
 
     Returns a Rejection when the request is provably unservable: more slots
     than pins, or some kind demanded more times than there are pins offering
-    it (the eligibility table without rules). Returns None when no such
-    obstruction exists; the solver still has to decide feasibility. Never
-    rejects a servable request.
+    it (the eligibility table without rules). When several kinds fall short,
+    the reason names the first of them in the request's input order, so
+    unlike a solve's verdict, the text can change when the slots are
+    permuted. Returns None when no such obstruction exists; the solver still
+    has to decide feasibility. Never rejects a servable request.
     """
     if request.length > len(board):
         return Rejection(

@@ -1,5 +1,7 @@
 """The package's public names, and the README's Python snippet and module list."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -30,6 +32,31 @@ def test_public_names_are_pinned():
     assert len(set(pinassign.__all__)) == len(pinassign.__all__)
     for name in pinassign.__all__:
         assert getattr(pinassign, name) is not None, name
+
+
+DEFINING_MODULES = ["board", "codegen", "configops", "counting", "request", "solver"]
+
+
+def test_each_public_name_is_declared_where_it_is_defined():
+    """Each module's __all__ lists only names its own top level binds by a
+    def, class or assignment, and the package re-exports exactly those lists."""
+    joined = []
+    for name in DEFINING_MODULES:
+        module = importlib.import_module(f"pinassign.{name}")
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        defined = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        assert [n for n in module.__all__ if n not in defined] == [], name
+        joined += module.__all__
+    assert pinassign.__all__ == joined
+    namespace: dict = {}
+    exec("from pinassign import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC_NAMES
 
 
 def _readme_section(heading: str) -> str:

@@ -149,6 +149,24 @@ def test_unknown_rule_name_is_refused(two_pin_board):
         check_witness(two_pin_board, request, outcome.witness, rules=("ICU-CH12",))
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"semantics": "labeled"}, "semantics must be a Semantics member, got 'labeled'"),
+        ({"rules": ["icu-ch12"]}, r"rules must be a tuple of rule names, got \['icu-ch12'\]"),
+        ({"rules": ("nope",)}, "unknown eligibility rule 'nope'"),
+        ({"enumeration_cap": "5"}, "enumeration cap must be an integer, got '5'"),
+    ],
+    ids=["semantics-string", "rules-list", "unknown-rule", "cap-string"],
+)
+def test_solve_options_refuse_bad_fields_when_built(fields, message):
+    """A string semantics would stream as pin sets, a list of rules would not
+    hash and a string cap would raise TypeError at the first comparison, so
+    each is refused before any solve, as is an unknown rule."""
+    with pytest.raises(ValueError, match=message):
+        SolveOptions(**fields)
+
+
 def test_solve_options_with_rules_are_values(two_pin_board):
     """Rules are names, so equal options compare and hash equal, print no
     memory address, and solve alike."""
