@@ -34,6 +34,12 @@ cost is the answer. quick_reject reads the eligibility table
 (_Problem.elig) to reject a request some kind of which has too few pins,
 before any search.
 
+The matching is one list, owner, indexed by pin: owner[p] is the slot
+holding pin p, or _FREE, larger than any slot number, when p is free. The
+request's slots are numbered 0..n-1 (n = _Problem.length) and the spare
+slots n, n+1, ..., so _Problem.options lists the spares' candidates after
+the request's.
+
 Eligibility rules are names, keys of RULES_BY_NAME, so options holding them
 are plain values. A rule restricts one kind to the entries whose detail
 matches its pattern; _Problem applies the rules once, as it builds the
@@ -57,6 +63,7 @@ __all__ = ["AllPinsUsedWarning", "Assignment", "Binding", "EnumerationLimitError
            "enumerate_all", "find_best", "find_feasible", "iter_assignments", "quick_reject"]
 
 import re
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -68,6 +75,7 @@ from .request import Request
 
 REASON_KIND_UNSUPPORTED = "kind-unsupported"
 REASON_PIGEONHOLE = "pigeonhole"
+_FREE = sys.maxsize  # owner's entry for a free pin, above every slot number
 
 
 class AllPinsUsedWarning(UserWarning):
@@ -210,6 +218,7 @@ class _Problem:
         patterns = rule_patterns(rules) if rules else ()
         self.board = board
         self.slots = request.canonical
+        self.length = len(self.slots)
         self.costs = [pin.cost for pin in board.pins]
         # One pass over the pins: each (pin, kind) keeps its smallest eligible
         # detail, and a pin joins its kind's supporters on its first one.
@@ -237,28 +246,28 @@ class _Problem:
         self.bindings = _Bindings(self.slots, board.pins, self.detail)
 
 
-def _augment(problem: _Problem, slot: int, owner: dict[int, int], blocked: set[int]) -> bool:
+def _augment(problem: _Problem, slot: int, owner: list[int], blocked: set[int]) -> bool:
     """Kuhn's augmenting path: find slot a pin, moving other slots along the way.
 
-    owner maps each matched pin to its slot. Pins are tried in declaration
-    order, skipping blocked ones, and every pin tried joins blocked, so one
-    set holds both the pins the caller rules out and those already visited.
-    On success the path is flipped in owner; on failure owner is unchanged
-    and blocked has gained every pin reachable from slot by alternating
-    paths.
+    Pins are tried in declaration order, skipping blocked ones, and every
+    pin tried joins blocked, so one set holds both the pins the caller rules
+    out and those already visited. On success the path is flipped in owner;
+    on failure owner is unchanged and blocked has gained every pin reachable
+    from slot by alternating paths.
 
-    The spare slots _prepare adds by_cost are numbered -1, -2, ..., so
-    problem.options reads their candidates from its end. A spare does not
-    search on from a pin another spare holds: spares of one cost level
-    share one candidate list, so that spare reaches no pin this one does
-    not, and without the skip a search could recurse once per spare.
+    A spare slot only displaces real slots: it does not search on from a pin
+    another spare holds. Spares of one cost level share one candidate list,
+    so that spare reaches no pin this one does not, and without the skip a
+    search could recurse once per spare.
     """
+    n = problem.length
     for p in problem.options[slot]:
         if p in blocked:
             continue
         blocked.add(p)
-        if p not in owner or (
-            (slot >= 0 or owner[p] >= 0) and _augment(problem, owner[p], owner, blocked)
+        holder = owner[p]
+        if holder == _FREE or (
+            (slot < n or holder < n) and _augment(problem, holder, owner, blocked)
         ):
             owner[p] = slot
             return True
@@ -300,17 +309,17 @@ def quick_reject(board: Board, request: Request) -> Rejection | None:
     Returns a Rejection when the request is provably unservable: more slots
     than pins, or some kind demanded more times than there are pins offering
     it (the eligibility table without rules). When several kinds fall short,
-    the reason names the first of them in the request's input order, so
-    unlike a solve's verdict, the text can change when the slots are
-    permuted. Returns None when no such obstruction exists; the solver still
-    has to decide feasibility. Never rejects a servable request.
+    the reason names the first of them in the request's canonical order, so
+    a permutation of the slots gets the same reason. Returns None when no
+    such obstruction exists; the solver still has to decide feasibility.
+    Never rejects a servable request.
     """
     if request.length > len(board):
         return Rejection(
             f"{request.length} slots requested but board has {len(board)} pins"
         )
     elig = _Problem(board, request, ()).elig
-    for kind, needed in Counter(request.slots).items():
+    for kind, needed in Counter(request.canonical).items():
         offers = len(elig[kind])
         if offers < needed:
             if offers == 0:
@@ -321,8 +330,8 @@ def quick_reject(board: Board, request: Request) -> Rejection | None:
 
 def _prepare(
     board: Board, request: Request, options: SolveOptions, by_cost: bool = False
-) -> tuple[_Problem, dict[int, int]] | Infeasible:
-    """Build the instance and one matching of all its slots (pin -> slot).
+) -> tuple[_Problem, list[int]] | Infeasible:
+    """Build the instance and owner, one matching of all its slots.
 
     Slots are inserted in order by _augment. Without by_cost there is one
     level and nothing is blocked. With by_cost (find_best only) they are
@@ -373,8 +382,8 @@ def _prepare(
         costs = problem.costs
         pins = sorted({p for supporters in problem.elig.values() for p in supporters})
         levels = [[p for p in pins if costs[p] > c] for c in sorted({costs[p] for p in pins})]
-    owner: dict[int, int] = {}
-    waiting = range(len(problem.slots))
+    owner = [_FREE] * len(board.pins)
+    waiting = range(problem.length)
     for dearer in levels:
         # A failed search's blocked pins stay unreachable until one succeeds.
         blocked = {*dearer}
@@ -395,34 +404,32 @@ def _prepare(
                 )
         waiting = left
     if by_cost:
-        used = {costs[p] for p in owner}
-        cut = {kind: [p for p in elig if costs[p] in used] for kind, elig in problem.elig.items()}
-        problem.options = [cut[kind] for kind in problem.slots]
-        spares = []  # the candidates of spare slots -1, -2, ...
-        for level in sorted(used):
+        kept = {costs[p] for p in pins if owner[p] != _FREE}  # the levels the matching uses
+        cut = {kind: [p for p in elig if costs[p] in kept] for kind, elig in problem.elig.items()}
+        options = problem.options = [cut[kind] for kind in problem.slots]
+        for level in sorted(kept):
             level_pins = [p for p in pins if costs[p] == level]
             for p in level_pins:
-                if p not in owner:
-                    spares.append(level_pins)
-                    owner[p] = -len(spares)
-        problem.options += reversed(spares)
+                if owner[p] == _FREE:
+                    owner[p] = len(options)
+                    options.append(level_pins)
     return problem, owner
 
 
 def _iter_bindings(
-    problem: _Problem, owner: dict[int, int], semantics: Semantics
+    problem: _Problem, owner: list[int], semantics: Semantics
 ) -> Iterator[Assignment]:
     """Depth-first enumeration of valid assignments in lexicographic order.
 
-    owner is a matching of all slots (pin -> slot), as _prepare builds it;
-    by_cost, it also holds spare slots past the request's, which are matched
-    but never bound. The search keeps it a matching whose bound slots sit on
-    their chosen pins: binding slot i to pin p frees i's pin, and if an
-    unbound slot j held p, one _augment from j either moves j elsewhere or
-    proves that no solution uses p for slot i, which is then skipped with
-    owner unchanged. Unbinding leaves i on p, still a matching. So every
-    opened node has a solution below it in labeled mode, and the first
-    assignment yielded is the lexicographically smallest solution.
+    owner is a matching of all slots, spares included, as _prepare builds
+    it. The node for slot i has bound slots 0..i-1, and the search keeps
+    each of them on its chosen pin, so a pin is taken above the node exactly
+    when its holder is below i. Binding slot i to pin p frees i's pin, and
+    if an unbound slot j held p, one _augment from j either moves j
+    elsewhere or proves that no solution uses p for slot i, which is then
+    skipped with owner unchanged. Unbinding leaves i on p, still a matching.
+    So every opened node has a solution below it in labeled mode, and the
+    first assignment yielded is the lexicographically smallest solution.
 
     Unless semantics is LABELED, runs of equal-kind slots are forced onto
     strictly increasing pin indices, so each (kind -> pin set) split appears
@@ -442,7 +449,7 @@ def _iter_bindings(
     recursion limit.
     """
     slots = problem.slots
-    length = len(slots)
+    length = problem.length
     board = problem.board
     if length == 0:
         yield Assignment((), 0, board)
@@ -455,7 +462,6 @@ def _iter_bindings(
     chosen: list[int] = []  # pins of the slots above the current node
     bound: list[Binding] = []  # their Bindings
     spent = 0  # and their total cost
-    used: set[int] = set()
     seen: set[frozenset[int]] = set()  # pin sets yielded, unless LABELED
     # One entry per open inner node, from the root down: its untried
     # candidates and the pin its slot must exceed (-1 for none).
@@ -468,7 +474,7 @@ def _iter_bindings(
         if i == last:
             prefix = tuple(bound)
             for p in options[i]:
-                if p > floor and p not in used:
+                if p > floor and owner[p] >= i:
                     if distinct_sets:
                         key = frozenset((*chosen, p))
                         if key in seen:
@@ -477,35 +483,33 @@ def _iter_bindings(
                     yield Assignment((*prefix, bindings[i, p]), spent + costs[p], board)
         else:
             frames.append((iter(options[i]), floor))
-            mine = next(p for p in options[i] if owner.get(p) == i)  # i's pin in owner
+            mine = owner.index(i)
         # Bind the deepest open node's next candidate, closing exhausted nodes.
         while frames:
             candidates, floor = frames[-1]
             i = len(frames) - 1
             if len(chosen) > i:
                 mine = chosen.pop()
-                used.remove(mine)
                 bound.pop()
                 spent -= costs[mine]
             for p in candidates:
-                if p <= floor or p in used:
+                held = owner[p]
+                if p <= floor or held < i:
                     continue
-                held = owner.get(p)
                 if held == i:
                     break
                 owner[p] = i
-                del owner[mine]
-                if held is None:
+                owner[mine] = _FREE
+                if held == _FREE:
                     break
                 # Find the displaced slot another pin, or undo and skip p.
-                if _augment(problem, held, owner, {p, *used}):
+                if _augment(problem, held, owner, {p, *chosen}):
                     break
                 owner[p] = held
                 owner[mine] = i
             else:
                 frames.pop()
                 continue
-            used.add(p)
             chosen.append(p)
             bound.append(bindings[i, p])
             spent += costs[p]
@@ -578,5 +582,5 @@ def find_best(
     if isinstance(prepared, Infeasible):
         return prepared
     problem, owner = prepared
-    best = sum(problem.costs[p] for p, slot in owner.items() if slot >= 0)
+    best = sum(cost for cost, slot in zip(problem.costs, owner) if slot < problem.length)
     return next(a for a in _iter_bindings(problem, owner, Semantics.LABELED) if a.total_cost == best)

@@ -115,7 +115,7 @@ def _quick_reject_reference(board, request):
     for pin in board.pins:
         for kind in set(pin.kinds()):
             offers[kind] += 1
-    for kind, needed in Counter(request.slots).items():
+    for kind, needed in Counter(request.canonical).items():
         if offers[kind] < needed:
             if offers[kind] == 0:
                 return f"no pin offers {kind}"
@@ -127,8 +127,10 @@ def test_quick_reject_equals_per_pin_count():
     """Random boards, each asked for a few kinds as often as pins offer them
     or once more, in random slot order and cut to half the board's length up
     to one more than it. Several kinds often fall short, and the first one in
-    input order must be the one reported."""
+    canonical order must be the one reported, so a shuffle of the request
+    gets the same reason."""
     rng = random.Random(4242)
+    shuffler = random.Random(7)  # apart from rng, so the instances stay the same
     several_short = 0
     for _ in range(600):
         board = random_board(rng, max_pins=9, max_entries=2)
@@ -142,4 +144,6 @@ def test_quick_reject_equals_per_pin_count():
         rejection = quick_reject(board, request)
         reference = _quick_reject_reference(board, request)
         assert (rejection and rejection.reason) == reference, (board, request)
+        shuffled = Request(tuple(shuffler.sample(request.slots, request.length)))
+        assert quick_reject(board, shuffled) == rejection, (board, request, shuffled)
     assert several_short > 100, several_short

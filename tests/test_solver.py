@@ -582,6 +582,44 @@ def test_best_search_does_not_recurse_once_per_spare():
     assert best.total_cost == 3
 
 
+def _checked_leaves(board, request, options, by_cost, limit=None) -> int:
+    """Stream _iter_bindings over _prepare's instance, up to limit solutions,
+    and check the matching the search keeps after each one: every slot
+    number, spares included, holds exactly one pin, one of its candidates,
+    every other pin is _FREE, and each slot but the last (yielded without
+    moving) sits on its pin in the solution. Returns the solutions checked."""
+    prepared = solver._prepare(board, request, options, by_cost)
+    if isinstance(prepared, Infeasible):
+        return 0
+    problem, owner = prepared
+    count = 0
+    for a in itertools.islice(solver._iter_bindings(problem, owner, options.semantics), limit):
+        count += 1
+        held = [(p, slot) for p, slot in enumerate(owner) if slot != solver._FREE]
+        assert sorted(slot for _, slot in held) == list(range(len(problem.options)))
+        assert all(p in problem.options[slot] for p, slot in held)
+        pins = [board.index_of(b.pin) for b in a.bindings]
+        assert all(owner[pins[j]] == j for j in range(problem.length - 1))
+    return count
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_search_keeps_one_matching_of_all_slots(demo_board):
+    request = parse_request(
+        "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
+    )
+    assert _checked_leaves(demo_board, request, LABELED, False, limit=5_000) == 5_000
+    assert _checked_leaves(demo_board, request, SolveOptions(), False) == 588
+    assert _checked_leaves(demo_board, request, LABELED, True) == 840
+    checked = 0
+    for rules in ((), ("icu-ch12",)):
+        options = SolveOptions(semantics=Semantics.LABELED, rules=rules)
+        for board, request in instance_family(seed=2024, count=200):
+            for by_cost in (False, True):
+                checked += _checked_leaves(board, request, options, by_cost)
+    assert checked == 1_050
+
+
 def _assert_same_infeasible(board, request, options=SolveOptions()):
     """find_best and find_feasible agree on feasibility, and an infeasible
     request gets the same Infeasible, witness included, from both."""
