@@ -18,8 +18,9 @@ The Alloy and DOT documents are returned as text, each through one call,
 _document, which measures its UTF-8 size. The Prolog fact base is the one
 large document, and it is never held whole: its header, one block of facts
 per pin subset, and its rules are pieces written by one loop to the caller's
-sink. Kind and pin atoms are built once per board, so memory holds those
-tables and at most one subset's block.
+sink. Kind and pin atoms are built once per board, and a fact's kind list
+once per fact size, so memory holds the atom tables, one size's kind lists
+and at most one subset's block.
 """
 
 from __future__ import annotations
@@ -103,36 +104,65 @@ def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]
     each pin subset's fact lines as one block, then the inference rules.
 
     Subsets run by size, then in combinations order; a subset's multisets run
-    in sorted atom order. Atoms are built once per board, and kinds are
-    ranked by atom text, so a multiset is a sorted tuple of ranks whose atoms
-    are already in the order msort gives a query: the standard order of
-    terms compares atoms by character codes, and since "_" (95) is written
-    as "-" (45), kind-name order can differ (CAN_TX > CANX, but
-    'can-tx' @< canx). A lowercased pin id is a plain atom, and so is a kind's
-    text unless it holds a "-", which needs quotes.
+    in sorted atom order. Kinds are ranked by atom text, so a multiset read
+    in rank order lists its atoms in the order msort gives a query: the
+    standard order of terms compares atoms by character codes, and since "_"
+    (95) is written as "-" (45), kind-name order can differ (CAN_TX > CANX,
+    but 'can-tx' @< canx). A lowercased pin id is a plain atom, and so is a
+    kind's text unless it holds a "-", which needs quotes.
+
+    A multiset is coded as one integer, the sum of count(r) * B**(K-1-r) over
+    the ranks r of its K kinds, with B one more than the largest size. No
+    count reaches B, so codes of one size sort descending exactly as their
+    sorted rank tuples sort ascending: where two tuples first differ, the
+    smaller holds more of that rank and the same count of every lower one.
+    levels[d] holds the codes of the current subset's first d pins, and the
+    next subset in combinations order rebuilds only the levels from its
+    first changed pin, each code extended by one addition per kind of that
+    pin. A code's "config([..." head is built on first use in a size and
+    dropped with the size's cache. Memory holds the atom tables, the levels,
+    one size's heads and one subset's block.
     """
     texts = {kind: kind.lower().replace("_", "-") for pin in board.pins for kind in pin.kinds()}
     kinds = sorted(texts, key=texts.__getitem__)
-    rank = {kind: r for r, kind in enumerate(kinds)}
     kind_atoms = [f"'{texts[k]}'" if "-" in texts[k] else texts[k] for k in kinds]
     pin_atoms = [pin.id.lower() for pin in board.pins]
-    pin_ranks = [sorted({rank[kind] for kind in pin.kinds()}) for pin in board.pins]
     costs = [pin.cost for pin in board.pins]
-    atom = kind_atoms.__getitem__
-    indices = range(len(board.pins))
+    top = min(max_len, len(board))
+    base = top + 1
+    weight = {kind: base ** (len(kinds) - 1 - r) for r, kind in enumerate(kinds)}
+    pin_weights = [{weight[kind] for kind in pin.kinds()} for pin in board.pins]
+
+    def head(code: int) -> str:
+        atoms: list[str] = []
+        for atom in reversed(kind_atoms):
+            code, count = divmod(code, base)
+            atoms += [atom] * count
+        return "config([" + ",".join(reversed(atoms))
+
     label = board.name or "unnamed board"
     yield (
         f"% pin assignment fact base for {label}\n"
         f"% config(SortedKinds, [Pins, TotalCost]) up to length {max_len}\n\n"
     ), 0
-    for k in range(1, min(max_len, len(board)) + 1):
-        for subset in itertools.combinations(indices, k):
+    for k in range(1, top + 1):
+        heads: dict[int, str] = {}
+        levels: list[set[int]] = [{0}] * (k + 1)
+        previous = (-1,) * k
+        for subset in itertools.combinations(range(len(board)), k):
+            d = 0
+            while subset[d] == previous[d]:
+                d += 1
+            for d in range(d, k):
+                levels[d + 1] = {code + w for code in levels[d] for w in pin_weights[subset[d]]}
+            previous = subset
+            multisets = levels[k]
+            for code in multisets.difference(heads):
+                heads[code] = head(code)
             pins = ",".join(pin_atoms[i] for i in subset)
             cost = sum(costs[i] for i in subset)
-            choices = [pin_ranks[i] for i in subset]
-            multisets = sorted({tuple(sorted(combo)) for combo in itertools.product(*choices)})
             tail = f"],[[{pins}],{cost}]).\n"
-            block = "".join([f"config([{','.join(map(atom, m))}{tail}" for m in multisets])
+            block = tail.join(map(heads.__getitem__, sorted(multisets, reverse=True))) + tail
             yield block, len(multisets)
     yield "\n" + PROLOG_INFERENCE_RULES, 0
 
@@ -143,21 +173,23 @@ def emit_prolog(board: Board, max_len: int, sink) -> EmitterOutput:
     One fact per realizable (sorted kind multiset of length <= max_len,
     distinct pin set) pair, carrying the summed pin cost. Kind atoms are
     lowercased with underscores written as hyphens (quoted when needed);
-    pin atoms are lowercased. Atoms are built once per call, and each pin
-    subset's facts go out in one write, so memory beyond the per-board atom
-    tables is one subset's block, whatever the document's size.
+    pin atoms are lowercased. Each pin subset's facts go out in one write,
+    so whatever the document's size, memory holds the per-board atom
+    tables, one size's fact heads and one subset's block.
 
     sink is any object with write(str); a caller who wants the text passes
     an io.StringIO and reads it back. The returned text is empty; items is
-    the fact count and nbytes the UTF-8 size written. max_len below 1 is
-    refused with ValueError before anything is written.
+    the fact count and nbytes the UTF-8 size written. Atoms are ASCII by the
+    board grammar, so only a piece that is not, the header with a non-ASCII
+    board name, is encoded to count its bytes. max_len below 1 is refused
+    with ValueError before anything is written.
     """
     if max_len < 1:
         raise ValueError("max_len must be positive")
     nbytes = facts = 0
     for piece, count in _iter_prolog_blocks(board, max_len):
         sink.write(piece)
-        nbytes += len(piece.encode("utf-8"))
+        nbytes += len(piece) if piece.isascii() else len(piece.encode("utf-8"))
         facts += count
     return EmitterOutput("prolog", "", facts, nbytes)
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import itertools
+import math
 import random
 import re
 import tracemalloc
@@ -11,6 +13,7 @@ import pytest
 from pinassign import (
     Board,
     FunctionEntry,
+    Pin,
     Request,
     Semantics,
     SolveOptions,
@@ -27,6 +30,7 @@ from pinassign import (
 from pinassign.oracle import realization_count
 
 from conftest import prolog_text, random_board
+from prolog_reference import fact_base_by_product
 
 PA1_SIGNATURE = """\
 one sig PA1 extends Pin {} {
@@ -154,17 +158,19 @@ class _CountingSink:
 
 
 def test_prolog_streaming_keeps_memory_bounded(demo_board):
-    """The demo's 572 KB fact base at max_len 3 streams in a small fraction
-    of its size: memory holds the atom tables and one pin subset's block."""
-    sink = _CountingSink()
-    tracemalloc.start()
-    try:
-        output = emit_prolog(demo_board, 3, sink=sink)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert (output.nbytes, sink.chars) == (572_126, 572_126)
-    assert peak < output.nbytes // 10
+    """The demo's 572 KB fact base at max_len 3 and 5.75 MB one at max_len 4
+    stream in a small fraction of their size: memory holds the atom tables,
+    one size's fact heads and one pin subset's block."""
+    for max_len, nbytes in [(3, 572_126), (4, 5_751_884)]:
+        sink = _CountingSink()
+        tracemalloc.start()
+        try:
+            output = emit_prolog(demo_board, max_len, sink=sink)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (output.nbytes, sink.chars) == (nbytes, nbytes)
+        assert peak < output.nbytes // 10, max_len
 
 
 @pytest.mark.parametrize(
@@ -195,6 +201,64 @@ def test_prolog_facts_list_kinds_in_atom_order():
     for kinds, _, _ in facts:
         atoms = [kind.lower().replace("_", "-") for kind in kinds]
         assert atoms == sorted(atoms)
+
+
+# Kinds whose atoms order differently from their names ("_" is written as
+# "-", which sorts before letters and digits): 'a-b' @< ab, 'can-tx' @< canx.
+_ATOM_ORDER_POOL = [
+    "A", "A_", "A_B", "AB", "ANALOG", "CAN", "CAN_TX", "CANX", "ICU", "I2C_SCL",
+    "I2C_SDA", "PWM", "SERIAL_RX", "SERIAL_TX", "X_1", "X1",
+]
+
+# Sorted combinations the reference may make on one board; max_len is lowered
+# until the board fits, so the 300 boards take a few seconds.
+_REFERENCE_BUDGET = 30_000
+
+
+def _reference_work(board, max_len):
+    sizes = [len(set(pin.kinds())) for pin in board.pins]
+    return sum(
+        math.prod(sizes[i] for i in subset)
+        for k in range(1, min(max_len, len(sizes)) + 1)
+        for subset in itertools.combinations(range(len(sizes)), k)
+    )
+
+
+def _reference_case(rng):
+    """A board of 0-11 pins with 1-8 kinds each (some repeated under another
+    detail), drawn from _ATOM_ORDER_POOL, and a max_len of 1-6."""
+    pins = []
+    for i in range(rng.randint(0, 11)):
+        kinds = rng.sample(_ATOM_ORDER_POOL, min(rng.randint(1, 8), rng.randint(1, 8)))
+        kinds += rng.sample(kinds, rng.randint(0, 1))
+        entries = tuple(FunctionEntry(kind, f"D{j}") for j, kind in enumerate(kinds))
+        pins.append(Pin(rng.choice(["P", "p", "Pin_"]) + str(i), entries))
+    board = Board(tuple(pins), rng.choice([None, "ref", "Prüfstand µC"]))
+    max_len = rng.randint(1, 6)
+    while _reference_work(board, max_len) > _REFERENCE_BUDGET:
+        max_len -= 1
+    return board, max_len
+
+
+def test_prolog_equals_product_reference():
+    """emit_prolog writes the product-and-sort reference's fact base byte for
+    byte, and counts its facts and UTF-8 bytes, on 300 seeded boards."""
+    rng = random.Random(22)
+    seen = set()
+    for _ in range(300):
+        board, max_len = _reference_case(rng)
+        text, facts = fact_base_by_product(board, max_len)
+        written, output = prolog_text(board, max_len)
+        assert written == text, (board, max_len)
+        assert (output.items, output.nbytes) == (facts, len(text.encode("utf-8")))
+        seen.update({
+            ("pins", len(board)), ("max_len", max_len),
+            ("kinds", max((len(set(pin.kinds())) for pin in board.pins), default=0)),
+            ("max_len above pins", max_len > len(board)),
+        })
+    wanted = {("pins", n) for n in range(12)} | {("max_len", n) for n in range(1, 7)}
+    wanted |= {("kinds", 8), ("max_len above pins", True)}
+    assert wanted <= seen
 
 
 # --- Alloy instance model
