@@ -74,7 +74,12 @@ def _flag(*names: str, **spec) -> argparse.ArgumentParser:
     return parent
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first run and kept for
+    the process: parse_args does not change a parser, and every handler only
+    reads its namespace, the shared --rule default list included. It is not
+    built at import, which stays as cheap as the library's."""
     parser = argparse.ArgumentParser(
         prog="pinassign",
         description="Pin-assignment engine for hardware/software interface boards",
@@ -336,7 +341,17 @@ def _cmd_count(args) -> int:
             "max_len": max_len,
             "count": config_space(args.pins, args.functions, max_len),
         }
-    _show(args, doc, lambda doc: doc, lambda doc: print(doc["count"]))
+    # A count is exact at any size, so it is printed whole, past the limit
+    # Python 3.10.7 and later put on int-to-str conversion; the limit is
+    # lifted for this print alone.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        _show(args, doc, lambda doc: doc, lambda doc: print(doc["count"]))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 

@@ -3,8 +3,9 @@
 The configuration space of a board with n interchangeable pins, m function
 kinds per pin, and assignments up to length L is the number of pairs
 (nonempty pin subset of size <= L, kind multiset matching the subset size).
-Every count is a closed form in binomials, so neither its time nor its stack
-depth grows with the kind count. The counts exceed 10**12 at realistic board
+Every count is a sum over subset sizes whose two binomials are carried from
+one size to the next, so it takes min(n, L) steps whatever the kind count,
+and its stack depth does not grow at all. The counts exceed 10**12 at realistic board
 sizes, so everything here is exact integer arithmetic (Python ints never
 overflow).
 """
@@ -38,15 +39,24 @@ def config_space(n_pins: int, m: int, max_len: int) -> int:
     sum(comb(n_pins, k) * k_factor(k, m) for k in 1..max_len).
 
     Subset sizes above n_pins contribute nothing (their binomial is zero), so
-    max_len larger than n_pins is permitted.
+    max_len larger than n_pins is permitted. Both factors are carried from
+    one size to the next, each step a multiplication by a small integer and
+    then an exact division by one:
+
+        comb(n_pins, k)        = comb(n_pins, k - 1) * (n_pins - k + 1) // k
+        comb(k + m - 1, m - 1) = comb(k + m - 2, m - 1) * (k + m - 1) // k
     """
     if n_pins < 0 or max_len < 0:
         raise ValueError("n_pins and max_len must be nonnegative")
     if m < 1:
         raise ValueError("m must be positive")
-    return sum(
-        math.comb(n_pins, k) * k_factor(k, m) for k in range(1, min(n_pins, max_len) + 1)
-    )
+    total = 0
+    subsets = multisets = 1  # comb(n_pins, 0) and comb(m - 1, m - 1)
+    for k in range(1, min(n_pins, max_len) + 1):
+        subsets = subsets * (n_pins - k + 1) // k
+        multisets = multisets * (k + m - 1) // k
+        total += subsets * multisets
+    return total
 
 
 def config_space_board(board) -> int:

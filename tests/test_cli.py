@@ -613,6 +613,85 @@ def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
 
 
+def test_parser_is_built_once_per_process():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_importing_the_package_builds_no_parser():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    script = "import pinassign; from pinassign import cli; print(cli._build_parser.cache_info().currsize)"
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "0\n"
+
+
+def test_golden_rows_forward_then_reverse_share_one_parser(tmp_path, monkeypatch):
+    """Each golden row gives its recorded exit, digest and error lines
+    whatever ran before it in the process, every row in its own directory."""
+    from test_cli_golden import BOARDS, GOLDEN, _observe
+
+    for n, (argv, code, digest, error) in enumerate(GOLDEN + GOLDEN[::-1]):
+        directory = tmp_path / str(n)
+        directory.mkdir()
+        for name, text in BOARDS.items():
+            (directory / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(directory)
+        assert _observe(argv, directory) == (code, digest, error), argv
+
+
+def test_rule_does_not_stick_to_the_shared_parser(capsys):
+    argv = ["solve", "--board", DEMO, "--request", "icu,icu,analog", "--format", "json"]
+    assert run([*argv, "--rule", "icu-ch12"]) == 0
+    assert _json_out(capsys)["cost"] == 8
+    assert run(argv) == 0
+    assert _json_out(capsys)["cost"] == 10
+    assert cli._build_parser().parse_args(argv).rule == []
+
+
+def test_usage_errors_and_help_leave_the_shared_parser_working(capsys):
+    cli._build_parser()
+    assert run(["solve"]) == 2
+    assert run(["--help"]) == 0
+    capsys.readouterr()
+    assert run(["merge", "--request", "icu", "--request", "analog"]) == 0
+    assert capsys.readouterr().out == "ANALOG,ICU\n"
+
+
+def _whole_int(text: str) -> int:
+    """int(text) past the interpreter's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_prints_every_digit(capsys, fmt):
+    # (n + 2) * 2**(n - 1) - 1 configurations, 4,520 digits at n = 15,000
+    limit = sys.get_int_max_str_digits()
+    assert run(["count", "--pins", "15000", "--functions", "2", "--format", fmt]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    printed = out if fmt == "text" else re.search(r'"count": (\d+)', out).group(1)
+    assert len(printed.strip()) == 4520
+    assert _whole_int(printed) == 15002 * 2**14999 - 1
+
+
+def test_count_board_prints_every_digit(tmp_path, capsys):
+    # 4,400 pins of 9 entries each: 10**4400 - 1 configurations
+    entries = ", ".join(f"K{k}" for k in range(9))
+    path = tmp_path / "huge.pins"
+    path.write_text("".join(f"pin P{n} = {entries}\n" for n in range(4400)), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    assert run(["count", "--board", str(path)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    assert capsys.readouterr().out == "9" * 4400 + "\n"
+
+
 ALL_PINS_USED = (
     "warning: request length equals the board's pin count; "
     "an assignment would leave no pin free"

@@ -1,6 +1,7 @@
 """Configuration-space counting: worked totals, duality, brute-force equality."""
 
 import math
+import random
 
 import pytest
 
@@ -74,6 +75,21 @@ def test_config_space_matches_brute_force():
         for m in range(1, 5):
             for L in range(0, n + 1):
                 assert config_space(n, m, L) == brute_force_space(n, m, L)
+
+
+def test_config_space_equals_comb_sum_on_a_seeded_grid():
+    rng = random.Random(23)
+    for _ in range(1000):
+        n, m, L = rng.randint(0, 60), rng.randint(1, 40), rng.randint(0, 70)
+        assert config_space(n, m, L) == sum(
+            math.comb(n, k) * math.comb(k + m - 1, m - 1) for k in range(1, min(n, L) + 1)
+        ), (n, m, L)
+
+
+@pytest.mark.parametrize("n", [*range(1, 30), 15000])
+def test_config_space_two_kinds_closed_form(n):
+    # sum(comb(n, k) * (k + 1)) = n * 2**(n - 1) + 2**n - 1
+    assert config_space(n, 2, n) == (n + 2) * 2 ** (n - 1) - 1
 
 
 def test_config_space_excess_max_len_adds_nothing():
