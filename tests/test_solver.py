@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import itertools
+import pickle
 import random
 import re
 import sys
@@ -726,6 +727,92 @@ def test_streamed_assignments_equal_ones_built_from_their_pins(demo_board, optio
         assert a == built
         count += 1
     assert count == solutions
+
+
+DEMO_REQUESTS = [
+    "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda",
+    ",".join(["can-tx"] * 10),
+]
+
+
+def _assert_constructed_alike(assignments) -> int:
+    """Check that each Assignment given is indistinguishable from the one the
+    constructor builds out of its fields, and return how many there were.
+
+    Type, equality, the instance dict's items in order and a pickle round
+    trip (one per chunk, so the board is pickled once a chunk) are checked
+    on every one. Hash, repr, asdict, replace and frozenness each read the
+    whole board, so they are checked on the first of every chunk.
+    """
+    count = 0
+    assignments = iter(assignments)
+    while chunk := list(itertools.islice(assignments, 1000)):
+        built = [Assignment(a.bindings, a.total_cost, a.board) for a in chunk]
+        copies = pickle.loads(pickle.dumps(chunk))
+        board = copies[0].board  # a copy, shared by the chunk's copies
+        assert board == chunk[0].board
+        for a, b, copy in zip(chunk, built, copies):
+            assert type(a) is Assignment and a == b
+            assert list(vars(a).items()) == list(vars(b).items())
+            assert type(copy) is Assignment and list(vars(copy)) == list(vars(b))
+            assert copy.bindings == a.bindings and copy.total_cost == a.total_cost
+            assert copy.board is board
+        a, b = chunk[0], built[0]
+        assert hash(a) == hash(b) and repr(a) == repr(b)
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        dearer = dataclasses.replace(a, total_cost=a.total_cost + 1)
+        assert dearer == Assignment(a.bindings, a.total_cost + 1, a.board) != a
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.total_cost = 0
+        count += len(chunk)
+    return count
+
+
+# The mixed request's prefixes hold demo-table's 260,016 labeled solutions.
+@pytest.mark.parametrize(
+    "options, solutions", [(SolveOptions(), 1_562), (LABELED, 260_033)], ids=["pinsets", "labeled"]
+)
+def test_streamed_assignments_are_indistinguishable_from_constructed_ones(
+    demo_board, options, solutions
+):
+    """The enumerator builds each solution without the dataclass __init__,
+    storing its fields straight into the instance dict; nothing a caller can
+    observe may tell it from one the constructor builds, on any interpreter.
+    Every prefix of both demo requests, the empty one included, through
+    iter_assignments, find_feasible and find_best."""
+    streamed = answers = 0
+    for text in DEMO_REQUESTS:
+        kinds = text.split(",")
+        for length in range(len(kinds) + 1):
+            request = parse_request(",".join(kinds[:length]))
+            streamed += _assert_constructed_alike(iter_assignments(demo_board, request, options))
+            for solve in (find_feasible, find_best):
+                outcome = solve(demo_board, request, options)
+                if isinstance(outcome, Assignment):
+                    answers += _assert_constructed_alike([outcome])
+    assert streamed == solutions
+    assert answers == 2 * (11 + 4)
+
+
+def test_a_solve_builds_only_the_bindings_it_yields(monkeypatch):
+    """Bindings are built on first lookup, never up front: every verdict and
+    quick_reject builds a _Problem, so that fixed cost stays flat however
+    large the board. find_feasible builds one Binding per slot of its
+    answer."""
+    built = []
+    missing = solver._Bindings.__missing__
+
+    def counted(self, key):
+        built.append(key)
+        return missing(self, key)
+
+    monkeypatch.setattr(solver._Bindings, "__missing__", counted)
+    board = Board(tuple(Pin(f"P{j}", (FunctionEntry("ANALOG", f"ADC_IN{j}"),)) for j in range(300)))
+    request = Request(("ANALOG",) * 200)
+    _Problem(board, request, ())
+    assert built == []
+    outcome = find_feasible(board, request)
+    assert len(built) == len(outcome.bindings) == 200
 
 
 ICU_CH12 = re.compile(r"TIM\d+_CH[12]")
