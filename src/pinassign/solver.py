@@ -52,9 +52,12 @@ keeps the bound slots' Bindings and their running cost, so each solution
 costs one Binding lookup, one addition, one tuple and one Assignment, built
 without the dataclass __init__ at half the constructor's cost. Streamed
 Assignments share their frozen Binding objects: each solve builds at most one
-Binding per (slot, pin), on first use. Labeled streaming holds the search
-state, O(request length), plus those shared Bindings; pin-set streaming also
-remembers every distinct pin set it has yielded.
+Binding per (slot, pin), on first use. A labeled stream walks the subtree
+below a run of equal-kind slots once per set of pins the run takes and
+replays it for the run's other orderings. It holds the search state,
+O(request length), plus those shared Bindings, plus a memo of the replayed
+suffixes of at most _MEMO_CELLS cells, under 1.5 MB; pin-set streaming keeps
+no memo but remembers every distinct pin set it has yielded.
 """
 
 from __future__ import annotations
@@ -77,6 +80,14 @@ from .request import Request
 REASON_KIND_UNSUPPORTED = "kind-unsupported"
 REASON_PIGEONHOLE = "pigeonhole"
 _FREE = sys.maxsize  # owner's entry for a free pin, above every slot number
+# A labeled stream's memo (_iter_bindings) records at most _MEMO_CELLS
+# cells. A cell is one 8-byte pointer, and each stored tuple is charged its
+# items plus _CELLS_PER_TUPLE for its header, its pair or dict slot, its list
+# entry and its cost, so the memo stays under 1.5 MB: streams built to spend
+# the cells trace at most 0.95 MB. The demo's 136,800-solution request uses
+# 28,650.
+_MEMO_CELLS = 1 << 17
+_CELLS_PER_TUPLE = 20
 
 
 class AllPinsUsedWarning(UserWarning):
@@ -417,6 +428,18 @@ def _prepare(
     return problem, owner
 
 
+def _record(recording: list, leaf: tuple[Binding, ...], cost: int, left: int) -> int:
+    """Add a yielded solution, below its node, to each run end being
+    recorded, and return the cells left, charging each entry its Bindings
+    plus _CELLS_PER_TUPLE. Once none are left, record nothing more."""
+    for node, base, leaves, _ in recording:
+        leaves.append((leaf[node:], cost - base))
+        left -= len(leaf) - node + _CELLS_PER_TUPLE
+    if left < 0:
+        recording.clear()
+    return left
+
+
 def _iter_bindings(
     problem: _Problem, owner: list[int], semantics: Semantics
 ) -> Iterator[Assignment]:
@@ -445,9 +468,28 @@ def _iter_bindings(
     one Binding lookup, one addition, one tuple and one Assignment. The
     Assignment skips the dataclass __init__: object.__new__ and three stores
     into its __dict__, in field order, give the instance the constructor
-    would build, at half its cost. Memory stays the O(request length) search
-    state plus the shared Bindings; pin-set mode also keeps the yielded pin
-    sets.
+    would build, at half its cost.
+
+    In labeled mode the solutions below a node depend only on the node and
+    the pins taken above it: a candidate is skipped when a slot above holds
+    it, and a repair succeeds when the unbound slots (spares included) can
+    still be matched around the taken pins, whichever matching owner holds;
+    the last slot, yielded without a repair, takes every candidate not taken
+    above. So a run end, a node j < last whose slots j-2 and j-1 share a kind
+    that slot j lacks, is reached once for each ordering of that run's pins,
+    r! times for a run of r slots, with the same solutions below. The first
+    time a taken set reaches it with the memo on, its leaves are recorded as
+    (Bindings of slots j.., their pins' cost), stored when its frame closes;
+    later times they are replayed, each the prefix's Bindings plus the
+    recorded ones, the same shared objects, and the node is closed unwalked
+    with owner untouched, still a matching of all slots. A replay inside a
+    run end being recorded is recorded there too. The memo starts once the
+    first solution is resumed, so find_feasible never pays for it, and it
+    records at most _MEMO_CELLS cells, under 1.5 MB; once they are spent it
+    records nothing more. Memory is the O(request length) search state, the
+    shared Bindings and that memo; pin-set mode, whose yielded sets make a
+    node's solutions depend on what came before, keeps no memo but the
+    yielded pin sets.
 
     One loop with an explicit stack, so the depth is not bounded by Python's
     recursion limit.
@@ -471,11 +513,29 @@ def _iter_bindings(
     # One entry per open inner node, from the root down: its untried
     # candidates and the pin its slot must exceed (-1 for none).
     frames: list[tuple[Iterator[int], int]] = []
+    # The labeled memo: the run ends, none until the first solution is
+    # resumed; each recorded run end's leaves by its sorted taken pins; the
+    # run ends being recorded, (node, cost above it, leaves so far, taken
+    # pins); and the cells left to record in.
+    left = 0 if distinct_sets else _MEMO_CELLS
+    pending = left > 0
+    ends: set[int] = set()
+    memo: dict[tuple[int, ...], list[tuple[tuple[Binding, ...], int]]] = {}
+    recording: list[tuple[int, int, list, tuple[int, ...]]] = []
     while True:
-        # Enter the node for slot i = len(chosen).
+        # Enter the node for slot i = len(chosen): the last slot yields its
+        # solutions, a recorded run end replays its leaves, any other node
+        # opens a frame.
         i = len(chosen)
         kind = slots[i]
         floor = chosen[-1] if distinct_sets and i > 0 and slots[i - 1] == kind else -1
+        tails = None  # a recorded run end's leaves, to replay
+        if i in ends:
+            taken = (*sorted(chosen),)
+            tails = memo.get(taken)
+            if tails is None and left > i + _CELLS_PER_TUPLE:
+                left -= i + _CELLS_PER_TUPLE
+                recording.append((i, spent, [], taken))
         if i == last:
             prefix = tuple(bound)
             for p in options[i]:
@@ -488,13 +548,29 @@ def _iter_bindings(
                     # Assignment(bindings, cost, board) without its __init__.
                     a = new(Assignment)
                     fields = a.__dict__
-                    fields["bindings"] = (*prefix, bindings[i, p])
-                    fields["total_cost"] = spent + costs[p]
+                    fields["bindings"] = leaf = (*prefix, bindings[i, p])
+                    fields["total_cost"] = cost = spent + costs[p]
                     fields["board"] = board
                     yield a
-        else:
+                    if recording:
+                        left = _record(recording, leaf, cost, left)
+            if pending:
+                pending = False
+                ends = {j for j in range(2, last) if slots[j - 1] == slots[j - 2] != slots[j]}
+        elif tails is None:
             frames.append((iter(options[i]), floor))
             mine = owner.index(i)
+        else:
+            prefix = tuple(bound)
+            for suffix, suffix_cost in tails:
+                a = new(Assignment)
+                fields = a.__dict__
+                fields["bindings"] = leaf = prefix + suffix
+                fields["total_cost"] = cost = spent + suffix_cost
+                fields["board"] = board
+                yield a
+                if recording:
+                    left = _record(recording, leaf, cost, left)
         # Bind the deepest open node's next candidate, closing exhausted nodes.
         while frames:
             candidates, floor = frames[-1]
@@ -520,6 +596,9 @@ def _iter_bindings(
                 owner[mine] = i
             else:
                 frames.pop()
+                if recording and recording[-1][0] == i:
+                    node, base, leaves, taken = recording.pop()
+                    memo[taken] = leaves
                 continue
             chosen.append(p)
             bound.append(bindings[i, p])

@@ -3,10 +3,12 @@
 import dataclasses
 import inspect
 import itertools
+import operator
 import pickle
 import random
 import re
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -487,14 +489,16 @@ def _count_augments(monkeypatch, limit: int | None = None) -> list[int]:
 
 @pytest.mark.parametrize(
     "options, solutions, calls",
-    [(SolveOptions(), 588, 175), (LABELED, 136_800, 9_334)],
+    [(SolveOptions(), 588, 175), (LABELED, 136_800, 421)],
     ids=["pinsets", "labeled"],
 )
 def test_enumeration_pruning_call_counts(demo_board, monkeypatch, options, solutions, calls):
     """The kept matching's repairs, counted on the demo board's 10-slot mixed
     request, _prepare's matching included. The counts pin today's pruning
     exactly: a change to the prunes (a weaker one is still sound, so no output
-    changes) must update them."""
+    changes) must update them. The labeled search walks the slots below the
+    five ANALOG ones once per set of pins those take and replays them for
+    the other orderings (9,334 calls when it walked all 120)."""
     count = _count_augments(monkeypatch)
     request = parse_request(
         "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
@@ -505,12 +509,20 @@ def test_enumeration_pruning_call_counts(demo_board, monkeypatch, options, solut
 
 def test_streamed_solutions_share_their_bindings(demo_board):
     """A solve builds one Binding per (slot, pin) and every solution holding
-    that pair reuses it, which keeps the CLI's per-Binding JSON cache small."""
-    request = parse_request("analog,analog,analog,icu,analog,analog")
-    solutions = list(iter_assignments(demo_board, request, LABELED))
-    bindings = [b for a in solutions for b in a.bindings]
-    assert len(solutions) == 3_480
-    assert len({id(b) for b in bindings}) == len({(b.slot, b.pin) for b in bindings}) == 39
+    that pair reuses it, which keeps the CLI's per-Binding JSON cache small.
+    The 10-slot request's ANALOG run ends above its last slot, so most of its
+    solutions are replayed from the labeled memo."""
+    for text, solutions, pairs in [
+        ("analog,analog,analog,icu,analog,analog", 3_480, 39),
+        ("analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda", 136_800, 54),
+    ]:
+        ids, keys, count = set(), set(), 0
+        for a in iter_assignments(demo_board, parse_request(text), LABELED):
+            count += 1
+            ids.update(map(id, a.bindings))
+            keys.update((b.slot, b.pin) for b in a.bindings)
+        assert count == solutions
+        assert len(ids) == len(keys) == pairs
 
 
 def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
@@ -587,38 +599,190 @@ def _checked_leaves(board, request, options, by_cost, limit=None) -> int:
     """Stream _iter_bindings over _prepare's instance, up to limit solutions,
     and check the matching the search keeps after each one: every slot
     number, spares included, holds exactly one pin, one of its candidates,
-    every other pin is _FREE, and each slot but the last (yielded without
-    moving) sits on its pin in the solution. Returns the solutions checked."""
+    and every other pin is _FREE. With the labeled memo off, every solution
+    is walked, so each slot but the last (yielded without moving) also sits
+    on its pin in the solution; a replayed one leaves owner untouched.
+    Returns the solutions checked."""
     prepared = solver._prepare(board, request, options, by_cost)
     if isinstance(prepared, Infeasible):
         return 0
     problem, owner = prepared
+    walked = solver._MEMO_CELLS == 0
     count = 0
     for a in itertools.islice(solver._iter_bindings(problem, owner, options.semantics), limit):
         count += 1
         held = [(p, slot) for p, slot in enumerate(owner) if slot != solver._FREE]
         assert sorted(slot for _, slot in held) == list(range(len(problem.options)))
         assert all(p in problem.options[slot] for p, slot in held)
-        pins = [board.index_of(b.pin) for b in a.bindings]
-        assert all(owner[pins[j]] == j for j in range(problem.length - 1))
+        if walked:
+            pins = [board.index_of(b.pin) for b in a.bindings]
+            assert all(owner[pins[j]] == j for j in range(problem.length - 1))
     return count
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
-def test_search_keeps_one_matching_of_all_slots(demo_board):
+def test_search_keeps_one_matching_of_all_slots(demo_board, monkeypatch):
+    """Once with the labeled memo off, checking where each walked solution
+    leaves its slots, and once with it on, where most of the 10-slot
+    request's solutions are replayed."""
     request = parse_request(
         "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
     )
-    assert _checked_leaves(demo_board, request, LABELED, False, limit=5_000) == 5_000
-    assert _checked_leaves(demo_board, request, SolveOptions(), False) == 588
-    assert _checked_leaves(demo_board, request, LABELED, True) == 840
-    checked = 0
-    for rules in ((), ("icu-ch12",)):
-        options = SolveOptions(semantics=Semantics.LABELED, rules=rules)
-        for board, request in instance_family(seed=2024, count=200):
-            for by_cost in (False, True):
-                checked += _checked_leaves(board, request, options, by_cost)
-    assert checked == 1_050
+    for cells in (0, solver._MEMO_CELLS):
+        monkeypatch.setattr(solver, "_MEMO_CELLS", cells)
+        assert _checked_leaves(demo_board, request, LABELED, False, limit=5_000) == 5_000
+        assert _checked_leaves(demo_board, request, SolveOptions(), False) == 588
+        assert _checked_leaves(demo_board, request, LABELED, True) == 840
+        checked = 0
+        for rules in ((), ("icu-ch12",)):
+            options = SolveOptions(semantics=Semantics.LABELED, rules=rules)
+            for board, asked in instance_family(seed=2024, count=200):
+                for by_cost in (False, True):
+                    checked += _checked_leaves(board, asked, options, by_cost)
+        assert checked == 1_050
+
+
+def _stream(problem, owner, cells):
+    """_iter_bindings' labeled stream over problem and a copy of owner, with a
+    memo of the given cells (0 walks every solution). The stream reads
+    _MEMO_CELLS as it starts, so several can run side by side."""
+    saved = solver._MEMO_CELLS
+    solver._MEMO_CELLS = cells
+    try:
+        stream = solver._iter_bindings(problem, list(owner), Semantics.LABELED)
+        first = next(stream)
+    finally:
+        solver._MEMO_CELLS = saved
+    yield first
+    yield from stream
+
+
+def _assert_replays_walk(board, request, options, by_cost, budgets) -> int:
+    """Stream _prepare's instance with the labeled memo off and with each
+    budget of cells, side by side, and check that every stream yields the
+    same solutions in the same order, holding the same Binding objects.
+    Returns the solutions each stream yielded."""
+    prepared = solver._prepare(board, request, options, by_cost)
+    if isinstance(prepared, Infeasible):
+        return 0
+    problem, owner = prepared
+    streams = [_stream(problem, owner, cells) for cells in (0, *budgets)]
+    count = 0
+    for walked, *replayed in itertools.zip_longest(*streams):
+        for a in replayed:
+            assert type(a) is Assignment, (board, request, by_cost)
+            assert len(a.bindings) == len(walked.bindings)
+            assert all(map(operator.is_, a.bindings, walked.bindings)), (board, request)
+            assert a.total_cost == walked.total_cost and a.board is walked.board
+        count += 1
+    return count
+
+
+# Two cells are spent by the first run end recorded, so nothing is stored;
+# 1,000 store a run end or two of a demo request and run out inside another.
+MEMO_BUDGETS = (2, 1_000, solver._MEMO_CELLS)
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_labeled_memo_replays_exactly_what_the_walk_yields(demo_board, monkeypatch):
+    """The memo is an optimization only: on every prefix of both demo
+    requests, a demo request with nested run ends, and the seeded family
+    (seeds 2024, 7 and 11, with and without icu-ch12), labeled streams of
+    the plain and the by_cost instance equal the memo-off walk, Binding
+    objects included, whether the memo has cells to spare, runs out
+    mid-stream or has none to start with; so do find_best's answers there
+    and on the 64x24 planted board."""
+    instances = [
+        (demo_board, parse_request(",".join(text.split(",")[:length])), LABELED)
+        for text in DEMO_REQUESTS
+        for length in range(len(text.split(",")) + 1)
+    ]
+    # Run ends at slots 2 and 4: the CAN_TX run's replays are recorded for
+    # the ANALOG run's.
+    nested = parse_request("analog,analog,can-tx,can-tx,i2c-sda,serial-rx")
+    instances.append((demo_board, nested, LABELED))
+    for seed in (2024, 7, 11):
+        for rules in ((), ("icu-ch12",)):
+            options = SolveOptions(semantics=Semantics.LABELED, rules=rules)
+            instances += [(*pair, options) for pair in instance_family(seed, count=400)]
+    streamed = 0
+    for board, request, options in instances:
+        for by_cost in (False, True):
+            streamed += _assert_replays_walk(board, request, options, by_cost, MEMO_BUDGETS)
+    assert streamed == 269_379
+    planted = _planted_instance(random.Random(7), 64, 24)
+    for board, request, options in [*instances, (*planted, LABELED)]:
+        best = find_best(board, request, options)
+        for cells in (0, *MEMO_BUDGETS):
+            monkeypatch.setattr(solver, "_MEMO_CELLS", cells)
+            assert find_best(board, request, options) == best
+        monkeypatch.undo()
+
+
+def test_labeled_memo_stays_under_its_bound():
+    """120 ANALOG pins, one ICU and one PWM pin, asked ANALOG twice, ICU and
+    PWM: each of the 7,140 ANALOG pin pairs is a run end's taken set, reached
+    twice, with one solution below. Recording them all traces over 1.5 MB,
+    the memo's documented bound; with _MEMO_CELLS it stays under the bound,
+    and the stream still equals the memo-off walk."""
+    pins = tuple(Pin(f"A{j}", (FunctionEntry("ANALOG", f"ADC_IN{j}"),)) for j in range(120))
+    icu, pwm = Pin("T", (FunctionEntry("ICU", "TIM2_CH1"),)), Pin("U", (FunctionEntry("PWM"),))
+    board = Board(pins + (icu, pwm))
+    request = parse_request("analog,analog,icu,pwm")
+    problem, owner = solver._prepare(board, request, LABELED)
+    bound = 1_500_000
+
+    def traced_peak(cells):
+        tracemalloc.start()
+        try:
+            streams = _stream(problem, owner, 0), _stream(problem, owner, cells)
+            count = 0
+            for walked, replayed in itertools.zip_longest(*streams):
+                assert all(map(operator.is_, replayed.bindings, walked.bindings))
+                assert len(replayed.bindings) == 4
+                assert replayed.total_cost == walked.total_cost
+                count += 1
+            assert count == 120 * 119
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(1 << 30) > bound
+    assert traced_peak(solver._MEMO_CELLS) < bound
+
+
+def _held_cells(state) -> int:
+    """The cells charged for what a labeled stream's memo holds, read from
+    the stream's frame: each run end stored or being recorded is charged its
+    taken pins, and each of its leaves its Bindings, plus _CELLS_PER_TUPLE."""
+    recording = [(taken, leaves) for _, _, leaves, taken in state["recording"]]
+    held = [*state["memo"].items(), *recording]
+    return sum(
+        len(taken) + sum(len(suffix) for suffix, _ in leaves)
+        + (1 + len(leaves)) * solver._CELLS_PER_TUPLE
+        for taken, leaves in held
+    )
+
+
+def test_labeled_memo_holds_at_most_its_cells(demo_board, monkeypatch):
+    """Given 1,000 cells, the mixed demo request's 7-slot prefix stores a few
+    of its run end's taken sets, then runs out while recording another. At
+    no solution does the memo hold more than its cells, and once they are
+    spent no run end is being recorded."""
+    monkeypatch.setattr(solver, "_MEMO_CELLS", 1_000)
+    request = parse_request("analog,analog,analog,icu,analog,analog,serial-tx")
+    problem, owner = solver._prepare(demo_board, request, LABELED)
+    stream = solver._iter_bindings(problem, owner, Semantics.LABELED)
+    stored = count = 0
+    for _ in stream:
+        count += 1
+        state = stream.gi_frame.f_locals
+        assert _held_cells(state) <= 1_000
+        if state["left"] < 0:
+            assert state["recording"] == []
+        stored = max(stored, len(state["memo"]))
+    assert count == 10_680
+    assert stored > 0 and state["left"] < 0
 
 
 def _assert_same_infeasible(board, request, options=SolveOptions()):
