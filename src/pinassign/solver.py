@@ -20,11 +20,12 @@ iter_assignments is a depth-first search over one kept matching of all
 slots: _prepare builds it, and a bind that takes a pin another slot holds
 either repairs it with one augmenting path (_augment, the only
 augmenting-path routine) or skips that pin. Both read each slot's candidate
-pins from _Problem.options. _augment keeps one set of blocked pins: those
-the caller rules out (a repair's bound pins) and every pin it has tried. A
-labeled search therefore opens no node without a solution below it, and
-find_feasible is its first solution. When the initial matching fails, the
-infeasibility witness is read from the pins that failed search blocked.
+pins from _Problem.options, where the slots of one kind share one list.
+_augment keeps one set of blocked pins: those the caller rules out (a
+repair's bound pins) and every pin it has tried. A labeled search therefore
+opens no node without a solution below it, and find_feasible is its first
+solution. When the initial matching fails, the infeasibility witness is
+read from the pins that failed search blocked.
 find_best runs the same search on the instance _prepare builds by_cost: a
 minimum-cost matching, inserted in the same loop one cost level at a time,
 cheapest first (the only matching a solve builds), candidates cut to the
@@ -33,6 +34,11 @@ a minimum-cost assignment leaves free. Its first labeled solution of that
 cost is the answer. quick_reject reads the eligibility table
 (_Problem.elig) to reject a request some kind of which has too few pins,
 before any search.
+
+_Problem.elig is an instance's one eligibility table: each requested kind
+-> its eligible pins in declaration order -> the detail a Binding on that
+pin reports, the smallest eligible one. Candidate lists, witnesses, the
+by-cost levels and Bindings are all read from it.
 
 The matching is one list, owner, indexed by pin: owner[p] is the slot
 holding pin p, or _FREE, larger than any slot number, when p is free. The
@@ -43,7 +49,7 @@ the request's.
 Eligibility rules are names, keys of RULES_BY_NAME, so options holding them
 are plain values. A rule restricts one kind to the entries whose detail
 matches its pattern; _Problem applies the rules once, as it builds the
-eligibility tables.
+eligibility table.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
@@ -69,12 +75,13 @@ __all__ = ["AllPinsUsedWarning", "Assignment", "Binding", "EnumerationLimitError
 import re
 import sys
 import warnings
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from .board import Board, Pin
+from .board import Board
 from .request import Request
 
 REASON_KIND_UNSUPPORTED = "kind-unsupported"
@@ -206,25 +213,34 @@ class _Bindings(dict):
     Streamed assignments share these frozen Bindings instead of building one
     per solution. Only pairs some solution uses are ever built, and the cache
     is one object per solve, so a one-shot solve pays for its own bindings
-    and nothing more.
+    and nothing more. It holds only the _Problem it serves: a Binding's
+    detail is the one _Problem.elig holds for the slot's kind on that pin.
+    The _Problem holds this cache, so the reference back is weak: a strong
+    one would make every solve a reference cycle, left to the cyclic
+    garbage collector instead of freed when the solve returns.
     """
 
-    __slots__ = ("slots", "pins", "detail")
+    __slots__ = ("problem",)
 
-    def __init__(self, slots: tuple[str, ...], pins: tuple[Pin, ...], detail: dict):
-        self.slots = slots
-        self.pins = pins
-        self.detail = detail
+    def __init__(self, problem: _Problem):
+        self.problem = weakref.proxy(problem)
 
     def __missing__(self, key: tuple[int, int]) -> Binding:
         slot, p = key
-        kind = self.slots[slot]
-        binding = self[key] = Binding(slot, kind, self.pins[p].id, self.detail[(p, kind)])
+        problem = self.problem
+        kind = problem.slots[slot]
+        binding = self[key] = Binding(slot, kind, problem.board.pins[p].id, problem.elig[kind][p])
         return binding
 
 
 class _Problem:
-    """Preprocessed solve instance: canonical slots plus eligibility tables."""
+    """Preprocessed solve instance: canonical slots plus the eligibility table.
+
+    elig is that table: each requested kind, in sorted order -> its eligible
+    pins' indices in declaration order -> the detail a Binding on that pin
+    reports, the smallest eligible one. options lists each slot's candidate
+    pins, one tuple per kind, shared by every slot of that kind.
+    """
 
     def __init__(self, board: Board, request: Request, rules: tuple[str, ...]):
         patterns = rule_patterns(rules) if rules else ()
@@ -232,30 +248,23 @@ class _Problem:
         self.slots = request.canonical
         self.length = len(self.slots)
         self.costs = [pin.cost for pin in board.pins]
-        # One pass over the pins: each (pin, kind) keeps its smallest eligible
-        # detail, and a pin joins its kind's supporters on its first one.
-        supporters: dict[str, list[int]] = {kind: [] for kind in sorted(set(self.slots))}
-        self.detail: dict[tuple[int, str], str] = {}
+        # One pass over the pins: each (pin, kind) keeps its smallest eligible detail.
+        elig: dict[str, dict[int, str]] = {kind: {} for kind in sorted(set(self.slots))}
         for index, pin in enumerate(board.pins):
             for e in pin.entries:
                 kind = e.kind
-                if kind not in supporters:
+                if kind not in elig:
                     continue
                 if patterns and not all(r.fullmatch(e.detail) for k, r in patterns if k == kind):
                     continue
-                key = (index, kind)
-                best = self.detail.get(key)
-                if best is None:
-                    supporters[kind].append(index)
-                    self.detail[key] = e.detail
-                elif e.detail < best:
-                    self.detail[key] = e.detail
-        self.elig: dict[str, tuple[int, ...]] = {
-            kind: tuple(pins) for kind, pins in supporters.items()
-        }
+                details = elig[kind]
+                if index not in details or e.detail < details[index]:
+                    details[index] = e.detail
+        self.elig = elig
         # Candidate pins per slot, read by _augment and _iter_bindings.
-        self.options = [self.elig[kind] for kind in self.slots]
-        self.bindings = _Bindings(self.slots, board.pins, self.detail)
+        candidates = {kind: tuple(details) for kind, details in elig.items()}
+        self.options = [candidates[kind] for kind in self.slots]
+        self.bindings = _Bindings(self)
 
 
 def _augment(problem: _Problem, slot: int, owner: list[int], blocked: set[int]) -> bool:

@@ -24,12 +24,14 @@ from pinassign import (
     emit_graph_dot,
     emit_prolog,
     find_best,
+    find_feasible,
     parse_board,
     parse_request,
 )
 from pinassign.oracle import realization_count
 
-from conftest import prolog_text, random_board
+from alloy_reference import has_counterexample, read_assertions, read_pins
+from conftest import instance_family, prolog_text, random_board
 from prolog_reference import fact_base_by_product
 
 PA1_SIGNATURE = """\
@@ -468,6 +470,70 @@ def test_feasibility_assertion_error_message():
     with pytest.raises(ValueError) as exc:
         emit_alloy_feasibility_assertion(parse_request(""))
     assert str(exc.value) == "feasibility assertion needs a nonempty request"
+
+
+def _first_bound_with_counterexample(pins, text):
+    """The bound of the first assertion in text that has a counterexample, or None."""
+    return next((a.bound for a in read_assertions(text) if has_counterexample(pins, a)), None)
+
+
+def _check_alloy_read_back(board, spec, request):
+    """The feasibility assertion has a counterexample iff find_feasible
+    answers with an Assignment, and the first cost probe that has one is
+    find_best's cost (none when the request is infeasible)."""
+    pins = read_pins(spec)
+    assert list(pins) == [pin.id for pin in board.pins]
+    (feasibility,) = read_assertions(emit_alloy_feasibility_assertion(request).text)
+    assert feasibility.kinds == request.slots
+    feasible = isinstance(find_feasible(board, request), Assignment)
+    assert has_counterexample(pins, feasibility) == feasible, (board, request)
+    costs = [pin.cost for pin in board.pins]
+    probes = emit_alloy_best_assertions(request, min(costs), max(costs))
+    assert len(read_assertions(probes.text)) == probes.items
+    best = find_best(board, request)
+    expected = best.total_cost if isinstance(best, Assignment) else None
+    assert _first_bound_with_counterexample(pins, probes.text) == expected, (board, request)
+
+
+ALLOY_DEMO_REQUESTS = [DEMO_REQUEST, ",".join(["can-tx"] * 10)]
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_alloy_read_back_agrees_with_the_solver(demo_board):
+    """The Alloy documents, read back by a reference evaluator, answer as
+    the solver does: on every seeded instance with a nonempty request whose
+    board emit_alloy_spec accepts, and on every nonempty prefix of the two
+    demo requests. The emitters ignore eligibility rules, so none are set."""
+    seeded = 0
+    for seed in (2024, 7, 11):
+        for board, request in instance_family(seed=seed, count=400):
+            if request.length == 0:
+                continue
+            try:
+                spec = emit_alloy_spec(board).text
+            except ValueError:
+                continue
+            _check_alloy_read_back(board, spec, request)
+            seeded += 1
+    assert seeded == 1007
+    spec = emit_alloy_spec(demo_board).text
+    for text in ALLOY_DEMO_REQUESTS:
+        kinds = text.split(",")
+        for length in range(1, len(kinds) + 1):
+            _check_alloy_read_back(demo_board, spec, parse_request(",".join(kinds[:length])))
+
+
+def test_alloy_read_back_wraps_cost_sums_at_the_integer_scope(demo_board):
+    """One bit less than the emitted scope lets a dear assignment's sum wrap
+    below the cheapest bound, so the evaluator must read the scope."""
+    pins = read_pins(emit_alloy_spec(demo_board).text)
+    request = parse_request(DEMO_REQUEST)
+    text = emit_alloy_best_assertions(request, 2, 4).text
+    assert text.count(" for 7 int\n") == 21
+    assert _first_bound_with_counterexample(pins, text) == 25
+    assert find_best(demo_board, request).total_cost == 25
+    narrow = text.replace(" for 7 int\n", " for 6 int\n")
+    assert _first_bound_with_counterexample(pins, narrow) == 20
 
 
 # --- DOT graph

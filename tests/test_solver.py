@@ -1,6 +1,7 @@
 """Solver: reference examples, oracle spot checks, invariants, witnesses."""
 
 import dataclasses
+import gc
 import inspect
 import itertools
 import operator
@@ -10,6 +11,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -136,9 +138,9 @@ def test_icu_rule_restricts_channels():
     )
     # Only a whole TIM<n>_CH1/2 detail passes; other kinds are unaffected.
     problem = _Problem(board, parse_request("icu,analog"), ("icu-ch12",))
-    assert problem.elig == {"ANALOG": (0, 3), "ICU": (0,)}
-    assert problem.detail[(0, "ICU")] == "TIM2_CH2"
-    assert _Problem(board, parse_request("icu"), ()).elig == {"ICU": (0, 1, 2, 3)}
+    assert problem.elig == {"ANALOG": {0: "ADC1_IN1", 3: "-"}, "ICU": {0: "TIM2_CH2"}}
+    unruled = _Problem(board, parse_request("icu"), ()).elig
+    assert {kind: list(pins) for kind, pins in unruled.items()} == {"ICU": [0, 1, 2, 3]}
 
 
 def test_unknown_rule_name_is_refused(two_pin_board):
@@ -979,6 +981,26 @@ def test_a_solve_builds_only_the_bindings_it_yields(monkeypatch):
     assert len(built) == len(outcome.bindings) == 200
 
 
+def test_a_solve_leaves_no_reference_cycle(demo_board):
+    """A _Problem and its Bindings cache are freed as soon as the solve
+    drops them: a cycle between the two would leave every solve's tables
+    to the garbage collector."""
+    request = parse_request("analog,analog,icu,can-tx")
+    gc.disable()
+    try:
+        problem = _Problem(demo_board, request, ())
+        assert problem.bindings[0, 0].detail == "ADC1_IN1"
+        freed = weakref.ref(problem)
+        del problem
+        assert freed() is None
+        gc.collect()
+        for solve in (find_feasible, find_best, enumerate_all, solver.quick_reject):
+            solve(demo_board, request)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 ICU_CH12 = re.compile(r"TIM\d+_CH[12]")
 
 
@@ -1011,7 +1033,9 @@ def test_eligibility_tables_equal_a_per_kind_scan():
         for rules in ((), ("icu-ch12",)):
             problem = _Problem(board, request, rules)
             elig, detail = _per_kind_tables(board, request, rules)
-            assert list(problem.elig.items()) == list(elig.items()), (board, request)
-            assert problem.detail == detail, (board, request)
-    assert _Problem(two_icu, icu, ()).detail == {(0, "ICU"): "TIM1_CH3"}
-    assert _Problem(two_icu, icu, ("icu-ch12",)).detail == {(0, "ICU"): "TIM2_CH1"}
+            pins = [(kind, tuple(details)) for kind, details in problem.elig.items()]
+            assert pins == list(elig.items()), (board, request)
+            flat = {(p, k): d for k, details in problem.elig.items() for p, d in details.items()}
+            assert flat == detail, (board, request)
+    assert _Problem(two_icu, icu, ()).elig == {"ICU": {0: "TIM1_CH3"}}
+    assert _Problem(two_icu, icu, ("icu-ch12",)).elig == {"ICU": {0: "TIM2_CH1"}}
