@@ -25,6 +25,13 @@ back: no line break, no ``#`` and no outer blanks. So every token a consumer
 of a Board writes comes from this grammar, and serialize_board's text parses
 back to an equal Board. parse_board checks only the syntax around these
 values and reports a value's fault at its line and column.
+
+A Board also keeps a private table for the solver, built on its first solve
+in one pass over its pins and entries: each kind -> the pins offering it in
+declaration order -> the smallest detail they offer it with, each kind's
+candidate tuple of those pins, and the pin ids and costs. It is not a field,
+so equality, hash and repr ignore it, and pickles and copies leave it out.
+A Board is immutable, so the table never goes stale.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ __all__ = ["Board", "BoardParseError", "FunctionEntry", "NO_DETAIL", "Pin", "boa
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 NO_DETAIL = "-"
 
@@ -161,6 +170,48 @@ class Board:
 
     def has_pin(self, pin_id: str) -> bool:
         return pin_id.lower() in self._by_id
+
+    @cached_property
+    def _table(self) -> _Table:
+        """The solver's table, built on first use (_build_table)."""
+        return _build_table(self)
+
+    def __getstate__(self) -> dict:
+        # The table is a cache: a pickle or copy leaves it out and rebuilds it.
+        state = self.__dict__.copy()
+        state.pop("_table", None)
+        return state
+
+
+class _Table(NamedTuple):
+    """A Board's solver table. offers: each kind -> the indices of the pins
+    offering it, in declaration order -> the smallest detail among that
+    pin's entries of the kind; candidates: each kind -> those indices as one
+    tuple; ids and costs: each pin's id and cost, by index. Shared by every
+    solve on the Board, so no reader may write into it."""
+
+    offers: dict[str, dict[int, str]]
+    candidates: dict[str, tuple[int, ...]]
+    ids: tuple[str, ...]
+    costs: tuple[int, ...]
+
+
+def _build_table(board: Board) -> _Table:
+    """Board._table in one pass over the pins and their entries."""
+    offers: dict[str, dict[int, str]] = {}
+    ids = []
+    costs = []
+    for index, pin in enumerate(board.pins):
+        ids.append(pin.id)
+        costs.append(len(pin.entries))
+        for e in pin.entries:
+            details = offers.get(e.kind)
+            if details is None:
+                offers[e.kind] = {index: e.detail}
+            elif index not in details or e.detail < details[index]:
+                details[index] = e.detail
+    candidates = {kind: tuple(details) for kind, details in offers.items()}
+    return _Table(offers, candidates, tuple(ids), tuple(costs))
 
 
 def board_stats(board: Board) -> tuple[int, int, set[str]]:

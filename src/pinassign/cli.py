@@ -21,6 +21,7 @@ import json
 import sys
 import time
 import warnings
+from array import array
 from collections.abc import Iterator
 from dataclasses import asdict
 from functools import cache
@@ -266,12 +267,15 @@ def _cmd_solve_all(args) -> int:
 
     The report is the document of enumerate_all's list, but no list is kept:
     the solutions are streamed once to count them, so that the count heads
-    the report and a run over --cap writes nothing, once to write them, and
-    for JSON once more to write their costs. A text piece is cheaper to
-    format than to look up, so only JSON pieces are cached: each Binding's
-    is rendered once and reused in every solution holding it, and a solve
-    shares one Binding per (slot, pin), so the cache stays that small. Each
-    solution goes out in its own write, so memory stays that of one stream.
+    the report and a run over --cap writes nothing, and once more to write
+    them. For JSON the first pass also keeps their costs, at most --cap + 1
+    of them in 8 bytes each, which close the report. A text piece is
+    cheaper to format than to look up, so only JSON pieces are cached: each
+    Binding's is rendered once and reused in every solution holding it. A
+    solve shares one Binding per (slot, pin), which lives as long as its
+    stream, so the cache stays that small and is keyed by the Binding's id,
+    for that one stream. Each solution goes out in its own write, so memory stays that of
+    one stream, plus the costs for JSON.
     """
     board = _read_board(args.board)
     request = parse_request(args.request)
@@ -281,7 +285,12 @@ def _cmd_solve_all(args) -> int:
         return iter_assignments(board, request, options)
 
     cap = options.enumeration_cap
-    count = sum(1 for _ in islice(solutions(), cap + 1))
+    head = islice(solutions(), cap + 1)
+    if args.format == "json":
+        costs = array("q", (a.total_cost for a in head))
+        count = len(costs)
+    else:
+        count = sum(1 for _ in head)
     if count > cap:
         raise ValueError(f"more than {cap} solutions; raise --cap to list them all")
     write = sys.stdout.write
@@ -300,9 +309,14 @@ def _cmd_solve_all(args) -> int:
     if not count:
         write('  "assignments": [],\n  "costs": []\n}\n')
         return EXIT_INFEASIBLE
-    fragment = cache(
-        lambda b: "      " + json.dumps(asdict(b), indent=2).replace("\n", "\n      ")
-    )
+    fragments: dict[int, str] = {}  # by id(b), valid while the stream lives
+
+    def fragment(b) -> str:
+        text = fragments.get(id(b))
+        if text is None:
+            text = "      " + json.dumps(asdict(b), indent=2).replace("\n", "\n      ")
+            fragments[id(b)] = text
+        return text
 
     def assignment(a: Assignment) -> str:
         if not a.bindings:
@@ -312,7 +326,7 @@ def _cmd_solve_all(args) -> int:
     write('  "assignments": [\n')
     _write_items(write, map(assignment, solutions()))
     write('\n  ],\n  "costs": [\n')
-    _write_items(write, (f"    {a.total_cost}" for a in solutions()))
+    _write_items(write, (f"    {cost}" for cost in costs))
     write("\n  ]\n}\n")
     return EXIT_OK
 

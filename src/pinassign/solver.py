@@ -38,7 +38,12 @@ before any search.
 _Problem.elig is an instance's one eligibility table: each requested kind
 -> its eligible pins in declaration order -> the detail a Binding on that
 pin reports, the smallest eligible one. Candidate lists, witnesses, the
-by-cost levels and Bindings are all read from it.
+by-cost levels and Bindings are all read from it. It is read from the
+Board's own table (board.Board._table), built on the Board's first solve
+and shared, never written, by every later one, so a solve scans no pin
+but those offering a ruled kind. _Bindings holds the slots, pin ids and
+elig it builds Bindings from, not the _Problem that holds it, so a solve
+leaves no reference cycle.
 
 The matching is one list, owner, indexed by pin: owner[p] is the slot
 holding pin p, or _FREE, larger than any slot number, when p is free. The
@@ -48,8 +53,8 @@ the request's.
 
 Eligibility rules are names, keys of RULES_BY_NAME, so options holding them
 are plain values. A rule restricts one kind to the entries whose detail
-matches its pattern; _Problem applies the rules once, as it builds the
-eligibility table.
+matches its pattern; _Problem applies the rules once per solve, rebuilding
+each ruled kind's pins and details into a fresh dict.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
@@ -58,12 +63,13 @@ keeps the bound slots' Bindings and their running cost, so each solution
 costs one Binding lookup, one addition, one tuple and one Assignment, built
 without the dataclass __init__ at half the constructor's cost. Streamed
 Assignments share their frozen Binding objects: each solve builds at most one
-Binding per (slot, pin), on first use. A labeled stream walks the subtree
-below a run of equal-kind slots once per set of pins the run takes and
-replays it for the run's other orderings. It holds the search state,
-O(request length), plus those shared Bindings, plus a memo of the replayed
-suffixes of at most _MEMO_CELLS cells, under 1.5 MB; pin-set streaming keeps
-no memo but remembers every distinct pin set it has yielded.
+Binding per (slot, pin), on first use and also without the dataclass
+__init__. A labeled stream walks the subtree below a run of equal-kind slots
+once per set of pins the run takes and replays it for the run's other
+orderings. It holds the search state, O(request length), plus those shared
+Bindings, plus a memo of the replayed suffixes of at most _MEMO_CELLS cells,
+under 1.5 MB; pin-set streaming keeps no memo but remembers every distinct
+pin set it has yielded.
 """
 
 from __future__ import annotations
@@ -75,7 +81,6 @@ __all__ = ["AllPinsUsedWarning", "Assignment", "Binding", "EnumerationLimitError
 import re
 import sys
 import warnings
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
@@ -213,23 +218,31 @@ class _Bindings(dict):
     Streamed assignments share these frozen Bindings instead of building one
     per solution. Only pairs some solution uses are ever built, and the cache
     is one object per solve, so a one-shot solve pays for its own bindings
-    and nothing more. It holds only the _Problem it serves: a Binding's
-    detail is the one _Problem.elig holds for the slot's kind on that pin.
-    The _Problem holds this cache, so the reference back is weak: a strong
-    one would make every solve a reference cycle, left to the cyclic
-    garbage collector instead of freed when the solve returns.
+    and nothing more. It holds what a Binding is read from, the _Problem's
+    slots and elig and the Board's pin ids, not the _Problem, which holds
+    this cache: a reference back would make every solve a reference cycle.
+    Each Binding skips the dataclass __init__: object.__new__ and four
+    stores into its __dict__, in field order, as _iter_bindings builds an
+    Assignment.
     """
 
-    __slots__ = ("problem",)
+    __slots__ = ("slots", "ids", "elig")
 
-    def __init__(self, problem: _Problem):
-        self.problem = weakref.proxy(problem)
+    def __init__(self, slots: tuple[str, ...], ids: tuple[str, ...], elig: dict):
+        self.slots = slots
+        self.ids = ids
+        self.elig = elig
 
     def __missing__(self, key: tuple[int, int]) -> Binding:
         slot, p = key
-        problem = self.problem
-        kind = problem.slots[slot]
-        binding = self[key] = Binding(slot, kind, problem.board.pins[p].id, problem.elig[kind][p])
+        kind = self.slots[slot]
+        # Binding(slot, kind, pin id, detail) without its __init__.
+        binding = self[key] = object.__new__(Binding)
+        fields = binding.__dict__
+        fields["slot"] = slot
+        fields["kind"] = kind
+        fields["pin"] = self.ids[p]
+        fields["detail"] = self.elig[kind][p]
         return binding
 
 
@@ -239,32 +252,42 @@ class _Problem:
     elig is that table: each requested kind, in sorted order -> its eligible
     pins' indices in declaration order -> the detail a Binding on that pin
     reports, the smallest eligible one. options lists each slot's candidate
-    pins, one tuple per kind, shared by every slot of that kind.
+    pins, one tuple per kind, shared by every slot of that kind. Both are
+    read from the Board's table (Board._table), built once per Board: a kind
+    no rule names gets the Board's own dict and tuple, which nothing writes,
+    and a ruled kind a fresh pair, rebuilt from the pins offering it.
     """
 
     def __init__(self, board: Board, request: Request, rules: tuple[str, ...]):
-        patterns = rule_patterns(rules) if rules else ()
+        offers, candidates, ids, self.costs = board._table
         self.board = board
-        self.slots = request.canonical
-        self.length = len(self.slots)
-        self.costs = [pin.cost for pin in board.pins]
-        # One pass over the pins: each (pin, kind) keeps its smallest eligible detail.
-        elig: dict[str, dict[int, str]] = {kind: {} for kind in sorted(set(self.slots))}
-        for index, pin in enumerate(board.pins):
-            for e in pin.entries:
-                kind = e.kind
-                if kind not in elig:
-                    continue
-                if patterns and not all(r.fullmatch(e.detail) for k, r in patterns if k == kind):
-                    continue
-                details = elig[kind]
-                if index not in details or e.detail < details[index]:
-                    details[index] = e.detail
+        self.slots = slots = request.canonical
+        self.length = len(slots)
+        elig = {}
+        picks = {}
+        for kind in sorted(set(slots)):
+            elig[kind] = offers.get(kind) or {}
+            picks[kind] = candidates.get(kind, ())
+        if rules:
+            ruled: dict[str, list[re.Pattern]] = {}
+            for kind, pattern in rule_patterns(rules):
+                if kind in elig:
+                    ruled.setdefault(kind, []).append(pattern)
+            for kind, patterns in ruled.items():
+                # Each pin offering kind keeps its smallest detail every rule admits.
+                details: dict[int, str] = {}
+                for p in elig[kind]:
+                    for e in board.pins[p].entries:
+                        if e.kind != kind or not all(r.fullmatch(e.detail) for r in patterns):
+                            continue
+                        if p not in details or e.detail < details[p]:
+                            details[p] = e.detail
+                elig[kind] = details
+                picks[kind] = tuple(details)
         self.elig = elig
         # Candidate pins per slot, read by _augment and _iter_bindings.
-        candidates = {kind: tuple(details) for kind, details in elig.items()}
-        self.options = [candidates[kind] for kind in self.slots]
-        self.bindings = _Bindings(self)
+        self.options = [picks[kind] for kind in slots]
+        self.bindings = _Bindings(slots, ids, elig)
 
 
 def _augment(problem: _Problem, slot: int, owner: list[int], blocked: set[int]) -> bool:

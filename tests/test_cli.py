@@ -495,6 +495,25 @@ def test_solve_all_cap_is_checked_before_any_byte(fmt, capsys):
     )
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_all_streams_twice(monkeypatch, capsys, fmt):
+    """One stream counts the solutions (and, for JSON, keeps their costs),
+    one writes them; the JSON costs are not streamed a third time."""
+    streams = []
+
+    def counted(board, request, options):
+        streams.append(request)
+        return solve_all(board, request, options)
+
+    solve_all = cli.iter_assignments
+    monkeypatch.setattr(cli, "iter_assignments", counted)
+    assert run(_solve_all_argv(DEMO, "analog,icu,pwm", "labeled", fmt)) == 0
+    assert len(streams) == 2
+    if fmt == "json":
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["costs"]) == len(doc["assignments"]) == doc["count"] == 404
+
+
 @pytest.mark.parametrize(
     "fmt, report",
     [
@@ -712,7 +731,7 @@ ALL_PINS_USED = (
 def test_all_pins_used_is_one_warning_line(two_pin_file, capsys, action, command, shown):
     """Whatever the warning filters say, a full-board request gets one
     warning line and no traceback. bench solves that request four times,
-    and solve-all two or three times (count, assignments, JSON costs)."""
+    and solve-all twice (count and costs, then assignments)."""
     with warnings.catch_warnings():
         warnings.simplefilter(action)
         code = run([*command, "--board", two_pin_file, "--request", "analog,analog"])

@@ -1,5 +1,6 @@
 """Solver: reference examples, oracle spot checks, invariants, witnesses."""
 
+import copy as copy_module
 import dataclasses
 import gc
 import inspect
@@ -19,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 from pinassign import (
     AllPinsUsedWarning,
     Assignment,
+    Binding,
     Board,
     EnumerationLimitError,
     FunctionEntry,
@@ -35,9 +37,10 @@ from pinassign import (
     iter_assignments,
     parse_board,
     parse_request,
+    serialize_board,
 )
 from pinassign.cli import bench, run
-from pinassign import solver
+from pinassign import board as board_module, solver
 from pinassign.solver import _Problem
 from pinassign.oracle import brute_force_solve
 
@@ -1039,3 +1042,155 @@ def test_eligibility_tables_equal_a_per_kind_scan():
             assert flat == detail, (board, request)
     assert _Problem(two_icu, icu, ()).elig == {"ICU": {0: "TIM1_CH3"}}
     assert _Problem(two_icu, icu, ("icu-ch12",)).elig == {"ICU": {0: "TIM2_CH1"}}
+
+
+def test_solver_bindings_are_indistinguishable_from_constructed_ones(demo_board):
+    """_Bindings builds each Binding without the dataclass __init__; nothing
+    a caller can observe may tell it from one the constructor builds. Every
+    (slot, eligible pin) of every prefix of both demo requests, under both
+    rule sets."""
+    checked = 0
+    for text in DEMO_REQUESTS:
+        kinds = text.split(",")
+        for length in range(len(kinds) + 1):
+            request = parse_request(",".join(kinds[:length]))
+            for rules in ((), ("icu-ch12",)):
+                problem = _Problem(demo_board, request, rules)
+                pairs = [(slot, p) for slot, ps in enumerate(problem.options) for p in ps]
+                for slot, p in pairs:
+                    b = problem.bindings[slot, p]
+                    kind = request.canonical[slot]
+                    built = Binding(slot, kind, demo_board.pins[p].id, problem.elig[kind][p])
+                    assert type(b) is Binding and b == built and hash(b) == hash(built)
+                    assert (b.slot, b.kind, b.pin, b.detail) == (
+                        built.slot, built.kind, built.pin, built.detail
+                    )
+                    assert list(vars(b).items()) == list(vars(built).items())
+                    assert repr(b) == repr(built)
+                    assert dataclasses.asdict(b) == dataclasses.asdict(built)
+                    copy = pickle.loads(pickle.dumps(b))
+                    assert type(copy) is Binding and list(vars(copy).items()) == list(
+                        vars(built).items()
+                    )
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        b.pin = "PX"
+                    checked += 1
+    assert checked > 500
+
+
+def _board_views(board):
+    """What a caller can observe of a Board without reading its table."""
+    return (
+        board == Board(board.pins, board.name),
+        hash(board),
+        repr(board),
+        pickle.dumps(board),
+        list(vars(copy_module.copy(board))),
+        dataclasses.replace(board) == board,
+        list(vars(dataclasses.replace(board))),
+    )
+
+
+def test_board_table_is_invisible_and_never_written(demo_board):
+    """A Board's solver table is a cache: building it changes nothing a
+    caller sees of the Board, pickles and copies leave it out, and no solve,
+    with or without a rule, writes into it."""
+    board = parse_board(serialize_board(demo_board))
+    request = parse_request("analog,analog,icu,icu,can-tx")
+    assert "_table" not in vars(board)
+    before = _board_views(board)
+    find_feasible(board, request)
+    assert "_table" in vars(board)
+    assert _board_views(board) == before
+    for clone in (
+        copy_module.copy(board),
+        pickle.loads(pickle.dumps(board)),
+        dataclasses.replace(board),
+    ):
+        assert clone == board and "_table" not in vars(clone)
+
+    # A Request's canonical form is cached alike.
+    unread = Request(("ICU", "ANALOG"))
+    pickled = pickle.dumps(unread)
+    assert unread.canonical == ("ANALOG", "ICU")
+    assert pickle.dumps(unread) == pickled
+    assert "canonical" not in vars(copy_module.copy(unread))
+
+    ruled = SolveOptions(rules=("icu-ch12",))
+    for order in ((SolveOptions(), ruled), (ruled, SolveOptions())):
+        board = parse_board(serialize_board(demo_board))
+        for options in order:
+            table = board._table
+            for solve in (find_feasible, find_best, enumerate_all):
+                solve(board, request, options)
+            assert board._table is table
+            assert table == board_module._build_table(board)
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+@pytest.mark.parametrize("seed", [2024, 7, 11])
+def test_cold_and_warm_boards_answer_alike(seed):
+    """A Board whose table an earlier solve built answers every question as
+    a fresh copy of it does, which builds its table anew."""
+    stream = 200  # solutions compared per stream
+    for board, request in instance_family(seed=seed, count=120):
+        find_feasible(board, request)  # warms the table
+        for rules in ((), ("icu-ch12",)):
+            answers = []
+            for warm in (copy_module.copy(board), board):
+                assert ("_table" in vars(warm)) == (warm is board)
+                outcome = find_feasible(warm, request, SolveOptions(rules=rules))
+                witness = outcome.witness if isinstance(outcome, Infeasible) else None
+                answers.append((
+                    outcome,
+                    find_best(warm, request, SolveOptions(rules=rules)),
+                    solver.quick_reject(warm, request),
+                    witness and check_witness(warm, request, witness, rules),
+                    *(
+                        list(itertools.islice(iter_assignments(
+                            warm, request, SolveOptions(semantics, rules)
+                        ), stream))
+                        for semantics in Semantics
+                    ),
+                ))
+            assert answers[0] == answers[1], (board, request, rules)
+
+
+def test_one_table_build_per_board(monkeypatch, demo_board, tmp_path, capsys):
+    """A Board builds its table on its first solve and never again; the
+    subcommands that solve nothing never build one."""
+    builds = []
+    build = board_module._build_table
+
+    def counted(board):
+        builds.append(board)
+        return build(board)
+
+    monkeypatch.setattr(board_module, "_build_table", counted)
+    board = parse_board(serialize_board(demo_board))
+    kinds = ["analog", "icu", "can-tx", "serial-tx", "i2c-sda"]
+    requests = [
+        parse_request(",".join(combo))
+        for size in (1, 2, 3)
+        for combo in itertools.combinations_with_replacement(kinds, size)
+    ][:50]
+    assert len(set(requests)) == 50
+    solves = (find_feasible, find_best, solver.quick_reject, enumerate_all)
+    for n, request in enumerate(requests):
+        solves[n % len(solves)](board, request)
+    assert builds == [board]
+
+    path = tmp_path / "demo.pins"
+    path.write_text(serialize_board(demo_board), encoding="utf-8")
+    builds.clear()
+    for argv in (
+        ["emit", "--target", "prolog", "--board", str(path), "--max-len", "2"],
+        ["emit", "--target", "alloy-spec", "--board", str(path)],
+        ["graph", "--board", str(path)],
+        ["count", "--board", str(path)],
+    ):
+        assert run(argv) == 0, argv
+    capsys.readouterr()
+    assert builds == []
+    assert run(["solve", "--board", str(path), "--request", "analog,icu"]) == 0
+    assert len(builds) == 1
