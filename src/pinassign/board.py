@@ -27,11 +27,11 @@ back to an equal Board. parse_board checks only the syntax around these
 values and reports a value's fault at its line and column.
 
 A Board also keeps a private table for the solver, built on its first solve
-in one pass over its pins and entries: each kind -> the pins offering it in
+in one pass over its entries: each kind -> the pins offering it in
 declaration order -> the smallest detail they offer it with, each kind's
 candidate tuple of those pins, and the pin ids and costs. It is not a field,
-so equality, hash and repr ignore it, and pickles and copies leave it out.
-A Board is immutable, so the table never goes stale.
+so equality, hash and repr ignore it. A Board is immutable, so the table
+never goes stale, and a pickle or copy that carries it carries a correct one.
 """
 
 from __future__ import annotations
@@ -176,12 +176,6 @@ class Board:
         """The solver's table, built on first use (_build_table)."""
         return _build_table(self)
 
-    def __getstate__(self) -> dict:
-        # The table is a cache: a pickle or copy leaves it out and rebuilds it.
-        state = self.__dict__.copy()
-        state.pop("_table", None)
-        return state
-
 
 class _Table(NamedTuple):
     """A Board's solver table. offers: each kind -> the indices of the pins
@@ -197,21 +191,27 @@ class _Table(NamedTuple):
 
 
 def _build_table(board: Board) -> _Table:
-    """Board._table in one pass over the pins and their entries."""
+    """Board._table, from one pass over the entries."""
+    pins = board.pins
+    offers = _smallest_details(enumerate([pin.entries for pin in pins]))
+    candidates = {kind: tuple(details) for kind, details in offers.items()}
+    ids = tuple([pin.id for pin in pins])
+    return _Table(offers, candidates, ids, tuple([pin.cost for pin in pins]))
+
+
+def _smallest_details(rows) -> dict[str, dict[int, str]]:
+    """From (pin index, entries) rows: each kind among the entries -> the
+    indices offering it, in row order -> the smallest detail among that
+    row's entries of the kind."""
     offers: dict[str, dict[int, str]] = {}
-    ids = []
-    costs = []
-    for index, pin in enumerate(board.pins):
-        ids.append(pin.id)
-        costs.append(len(pin.entries))
-        for e in pin.entries:
+    for index, entries in rows:
+        for e in entries:
             details = offers.get(e.kind)
             if details is None:
                 offers[e.kind] = {index: e.detail}
             elif index not in details or e.detail < details[index]:
                 details[index] = e.detail
-    candidates = {kind: tuple(details) for kind, details in offers.items()}
-    return _Table(offers, candidates, tuple(ids), tuple(costs))
+    return offers
 
 
 def board_stats(board: Board) -> tuple[int, int, set[str]]:

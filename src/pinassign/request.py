@@ -14,7 +14,6 @@ from __future__ import annotations
 __all__ = ["Request", "RequestParseError", "parse_request"]
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .board import CANONICAL_KIND_RE, canonical_kind
 
@@ -34,17 +33,10 @@ class Request:
             if not CANONICAL_KIND_RE.match(kind):
                 raise ValueError(f"kind {kind!r} is not canonical")
 
-    @cached_property
+    @property
     def canonical(self) -> tuple[str, ...]:
-        """The same multiset, sorted by kind name (duplicates preserved).
-        Sorted on first read only."""
+        """The same multiset, sorted by kind name (duplicates preserved)."""
         return tuple(sorted(self.slots))
-
-    def __getstate__(self) -> dict:
-        # canonical is a cache: a pickle or copy leaves it out.
-        state = self.__dict__.copy()
-        state.pop("canonical", None)
-        return state
 
     @property
     def length(self) -> int:

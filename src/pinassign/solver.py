@@ -86,7 +86,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from .board import Board
+from .board import Board, _smallest_details
 from .request import Request
 
 REASON_KIND_UNSUPPORTED = "kind-unsupported"
@@ -275,13 +275,12 @@ class _Problem:
                     ruled.setdefault(kind, []).append(pattern)
             for kind, patterns in ruled.items():
                 # Each pin offering kind keeps its smallest detail every rule admits.
-                details: dict[int, str] = {}
-                for p in elig[kind]:
-                    for e in board.pins[p].entries:
-                        if e.kind != kind or not all(r.fullmatch(e.detail) for r in patterns):
-                            continue
-                        if p not in details or e.detail < details[p]:
-                            details[p] = e.detail
+                rows = [
+                    (p, [e for e in board.pins[p].entries
+                         if e.kind == kind and all(r.fullmatch(e.detail) for r in patterns)])
+                    for p in elig[kind]
+                ]
+                details = _smallest_details(rows).get(kind, {})
                 elig[kind] = details
                 picks[kind] = tuple(details)
         self.elig = elig

@@ -608,9 +608,10 @@ class _ByteCount:
 
 
 def test_solve_all_streams_in_bounded_memory():
-    """Seven times as many solutions take no more memory: the traced peaks
-    of the demo's labeled 7- and 9-slot reports (10,680 and 75,120
-    solutions, 8.7 and 78 MB of JSON) differ by less than 1 MB."""
+    """Seven times as many solutions take only their costs' memory, 8 bytes
+    a solution: the traced peaks of the demo's labeled 7- and 9-slot
+    reports (10,680 and 75,120 solutions, 8.7 and 78 MB of JSON) differ by
+    8 bytes for each of the 64,440 more solutions, within 128 KiB."""
     mixed = "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx".split(",")
     peaks = []
     for length, count, size in ((7, 10_680, 8_669_871), (9, 75_120, 78_137_511)):
@@ -625,7 +626,7 @@ def test_solve_all_streams_in_bounded_memory():
             tracemalloc.stop()
         assert f'"count": {count},' in sink.first
         assert sink.size == size
-    assert abs(peaks[1] - peaks[0]) < 1 << 20, peaks
+    assert abs(peaks[1] - peaks[0] - 8 * (75_120 - 10_680)) < 1 << 17, peaks
 
 
 def test_help_exits_zero(capsys):
