@@ -26,12 +26,14 @@ of a Board writes comes from this grammar, and serialize_board's text parses
 back to an equal Board. parse_board checks only the syntax around these
 values and reports a value's fault at its line and column.
 
-A Board also keeps a private table for the solver, built on its first solve
-in one pass over its entries: each kind -> the pins offering it in
-declaration order -> the smallest detail they offer it with, each kind's
-candidate tuple of those pins, and the pin ids and costs. It is not a field,
-so equality, hash and repr ignore it. A Board is immutable, so the table
-never goes stale, and a pickle or copy that carries it carries a correct one.
+A Board also keeps private tables for the solver, one per tuple of
+eligibility rules it is solved under, each built on the first such solve in
+one pass over its entries: each kind -> the pins offering it in declaration
+order -> the smallest detail they offer it with that every rule on the kind
+admits, each kind's candidate tuple of those pins, and the pin ids and
+costs. They are not fields, so equality, hash and repr ignore them. A Board
+is immutable, so no table goes stale, and a pickle or copy that carries
+them carries correct ones.
 """
 
 from __future__ import annotations
@@ -172,17 +174,19 @@ class Board:
         return pin_id.lower() in self._by_id
 
     @cached_property
-    def _table(self) -> _Table:
-        """The solver's table, built on first use (_build_table)."""
-        return _build_table(self)
+    def _tables(self) -> dict[tuple[str, ...], _Table]:
+        """The solver's tables by rules tuple, each built on first use
+        (_build_table)."""
+        return {}
 
 
 class _Table(NamedTuple):
-    """A Board's solver table. offers: each kind -> the indices of the pins
-    offering it, in declaration order -> the smallest detail among that
-    pin's entries of the kind; candidates: each kind -> those indices as one
-    tuple; ids and costs: each pin's id and cost, by index. Shared by every
-    solve on the Board, so no reader may write into it."""
+    """One of a Board's solver tables. offers: each kind -> the indices of
+    the pins offering it, in declaration order -> the smallest detail among
+    that pin's entries of the kind that the table's rules admit;
+    candidates: each kind -> those indices as one tuple; ids and costs:
+    each pin's id and cost, by index. Shared by every solve on the Board
+    under the same rules, so no reader may write into it."""
 
     offers: dict[str, dict[int, str]]
     candidates: dict[str, tuple[int, ...]]
@@ -190,28 +194,24 @@ class _Table(NamedTuple):
     costs: tuple[int, ...]
 
 
-def _build_table(board: Board) -> _Table:
-    """Board._table, from one pass over the entries."""
+def _build_table(board: Board, patterns: list[tuple[str, re.Pattern]]) -> _Table:
+    """A table of Board._tables, from one pass over the entries. An entry
+    counts only when its detail fully matches every pattern paired with its
+    kind in patterns."""
     pins = board.pins
-    offers = _smallest_details(enumerate([pin.entries for pin in pins]))
-    candidates = {kind: tuple(details) for kind, details in offers.items()}
-    ids = tuple([pin.id for pin in pins])
-    return _Table(offers, candidates, ids, tuple([pin.cost for pin in pins]))
-
-
-def _smallest_details(rows) -> dict[str, dict[int, str]]:
-    """From (pin index, entries) rows: each kind among the entries -> the
-    indices offering it, in row order -> the smallest detail among that
-    row's entries of the kind."""
     offers: dict[str, dict[int, str]] = {}
-    for index, entries in rows:
-        for e in entries:
+    for index, pin in enumerate(pins):
+        for e in pin.entries:
+            if patterns and not all(r.fullmatch(e.detail) for k, r in patterns if k == e.kind):
+                continue
             details = offers.get(e.kind)
             if details is None:
                 offers[e.kind] = {index: e.detail}
             elif index not in details or e.detail < details[index]:
                 details[index] = e.detail
-    return offers
+    candidates = {kind: tuple(details) for kind, details in offers.items()}
+    ids = tuple([pin.id for pin in pins])
+    return _Table(offers, candidates, ids, tuple([pin.cost for pin in pins]))
 
 
 def board_stats(board: Board) -> tuple[int, int, set[str]]:

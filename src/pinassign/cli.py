@@ -8,7 +8,8 @@ Every subcommand but emit and graph takes --format text|json and prints
 either a text report or one structured JSON document on stdout; only the
 chosen form is built. solve-all, whose report grows with the number of
 solutions, writes it piece by piece from a stream of them, so its memory
-does not grow with that number. emit and graph write their document to
+grows with that number only by the JSON report's costs, 8 bytes a solution
+for at most --cap + 1 of them. emit and graph write their document to
 stdout or to --out. emit refuses a flag its target does not read, and
 count --board one of the formula flags. Output is deterministic for fixed
 inputs; only bench timing fields vary between runs.

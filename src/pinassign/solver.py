@@ -39,11 +39,12 @@ _Problem.elig is an instance's one eligibility table: each requested kind
 -> its eligible pins in declaration order -> the detail a Binding on that
 pin reports, the smallest eligible one. Candidate lists, witnesses, the
 by-cost levels and Bindings are all read from it. It is read from the
-Board's own table (board.Board._table), built on the Board's first solve
-and shared, never written, by every later one, so a solve scans no pin
-but those offering a ruled kind. _Bindings holds the slots, pin ids and
-elig it builds Bindings from, not the _Problem that holds it, so a solve
-leaves no reference cycle.
+Board's own table for the solve's rules (board.Board._tables), built on
+the Board's first solve under those rules and shared, never written, by
+every later one, so a solve on a Board already solved under its rules
+scans no pin. _Bindings holds the slots, pin ids and elig it builds
+Bindings from, not the _Problem that holds it, so a solve leaves no
+reference cycle.
 
 The matching is one list, owner, indexed by pin: owner[p] is the slot
 holding pin p, or _FREE, larger than any slot number, when p is free. The
@@ -53,8 +54,8 @@ the request's.
 
 Eligibility rules are names, keys of RULES_BY_NAME, so options holding them
 are plain values. A rule restricts one kind to the entries whose detail
-matches its pattern; _Problem applies the rules once per solve, rebuilding
-each ruled kind's pins and details into a fresh dict.
+matches its pattern. Rules are applied in one place, when the Board's
+table for a rules tuple is built (board._build_table).
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
@@ -86,7 +87,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
-from .board import Board, _smallest_details
+from .board import Board, _build_table
 from .request import Request
 
 REASON_KIND_UNSUPPORTED = "kind-unsupported"
@@ -253,13 +254,16 @@ class _Problem:
     pins' indices in declaration order -> the detail a Binding on that pin
     reports, the smallest eligible one. options lists each slot's candidate
     pins, one tuple per kind, shared by every slot of that kind. Both are
-    read from the Board's table (Board._table), built once per Board: a kind
-    no rule names gets the Board's own dict and tuple, which nothing writes,
-    and a ruled kind a fresh pair, rebuilt from the pins offering it.
+    read from the Board's table for rules (Board._tables), built on the
+    first solve under those rules and shared, never written, by every later
+    one.
     """
 
     def __init__(self, board: Board, request: Request, rules: tuple[str, ...]):
-        offers, candidates, ids, self.costs = board._table
+        tables = board._tables
+        if rules not in tables:
+            tables[rules] = _build_table(board, rule_patterns(rules))
+        offers, candidates, ids, self.costs = tables[rules]
         self.board = board
         self.slots = slots = request.canonical
         self.length = len(slots)
@@ -268,21 +272,6 @@ class _Problem:
         for kind in sorted(set(slots)):
             elig[kind] = offers.get(kind) or {}
             picks[kind] = candidates.get(kind, ())
-        if rules:
-            ruled: dict[str, list[re.Pattern]] = {}
-            for kind, pattern in rule_patterns(rules):
-                if kind in elig:
-                    ruled.setdefault(kind, []).append(pattern)
-            for kind, patterns in ruled.items():
-                # Each pin offering kind keeps its smallest detail every rule admits.
-                rows = [
-                    (p, [e for e in board.pins[p].entries
-                         if e.kind == kind and all(r.fullmatch(e.detail) for r in patterns)])
-                    for p in elig[kind]
-                ]
-                details = _smallest_details(rows).get(kind, {})
-                elig[kind] = details
-                picks[kind] = tuple(details)
         self.elig = elig
         # Candidate pins per slot, read by _augment and _iter_bindings.
         self.options = [picks[kind] for kind in slots]
@@ -337,10 +326,10 @@ def check_witness(
     """Machine-check an infeasibility witness against its instance.
 
     Valid iff the witness pins are exactly the pins eligible for some witness
-    kind (under the same rules) and the request demands more occurrences of
-    those kinds than there are such pins.
+    kind (under the same rules, any sequence of rule names) and the request
+    demands more occurrences of those kinds than there are such pins.
     """
-    problem = _Problem(board, request, rules)
+    problem = _Problem(board, request, tuple(rules))
     if not set(witness.kinds) <= problem.elig.keys():
         return False
     return witness == _witness(problem, witness.kinds) and witness.demanded > len(witness.pins)

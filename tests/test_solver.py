@@ -48,6 +48,7 @@ from best_references import best_by_enumeration, best_by_threshold
 from conftest import KIND_POOL, instance_family, plain_bindings, random_board, random_request
 
 LABELED = SolveOptions(semantics=Semantics.LABELED)
+RULE_SETS = ((), ("icu-ch12",))
 
 
 def test_two_analogs_bind_both_pins(two_pin_board):
@@ -155,6 +156,27 @@ def test_unknown_rule_name_is_refused(two_pin_board):
     outcome = find_feasible(two_pin_board, parse_request("icu,icu,icu"))
     with pytest.raises(ValueError, match="unknown eligibility rule"):
         check_witness(two_pin_board, request, outcome.witness, rules=("ICU-CH12",))
+    # Refused before the Board caches a table for them.
+    assert set(two_pin_board._tables) == {()}
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_check_witness_reads_a_list_of_rules_as_their_tuple():
+    """check_witness takes its rule names in any sequence: a list gives the
+    verdict the tuple of the same names gives, whether or not the Board has
+    built its table for them."""
+    verdicts = []
+    for board, request in instance_family(seed=23, count=200):
+        for rules in RULE_SETS:
+            outcome = find_feasible(board, request, SolveOptions(rules=rules))
+            if not isinstance(outcome, Infeasible):
+                continue
+            for other in RULE_SETS:
+                listed = check_witness(dataclasses.replace(board), request, outcome.witness,
+                                       list(other))
+                assert listed == check_witness(board, request, outcome.witness, other)
+                verdicts.append(listed)
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 5
 
 
 @pytest.mark.parametrize(
@@ -1094,49 +1116,63 @@ def _board_views(board):
     )
 
 
+def _fresh_table(board, rules):
+    """The table board._tables holds for rules, built anew."""
+    return board_module._build_table(board, solver.rule_patterns(rules))
+
+
 def test_board_table_is_invisible_and_never_written(demo_board):
-    """A Board's solver table is a cache: building it changes nothing a
-    caller sees of the Board or of its copies, a copy that carries it
-    carries a correct one, and no solve, with or without a rule, writes
-    into it."""
+    """A Board's solver tables are a cache: building them changes nothing a
+    caller sees of the Board or of its copies, a copy that carries them
+    carries correct ones, and no solve, under any rule set, writes into an
+    existing one."""
     board = parse_board(serialize_board(demo_board))
     request = parse_request("analog,analog,icu,icu,can-tx")
-    assert "_table" not in vars(board)
+    assert "_tables" not in vars(board)
     before = _board_views(board)
-    find_feasible(board, request)
-    assert "_table" in vars(board)
-    assert _board_views(board) == before
-    for clone in (
-        copy_module.copy(board),
-        pickle.loads(pickle.dumps(board)),
-        dataclasses.replace(board),
+    for rules in RULE_SETS:
+        find_feasible(board, request, SolveOptions(rules=rules))
+        assert _board_views(board) == before
+    fresh = {rules: _fresh_table(board, rules) for rules in RULE_SETS}
+    assert board._tables == fresh
+    for clone, carries in (
+        (copy_module.copy(board), True),
+        (pickle.loads(pickle.dumps(board)), True),
+        (dataclasses.replace(board), False),
     ):
         assert clone == board
-        assert clone._table == board_module._build_table(board)
+        assert clone._tables == (fresh if carries else {})
 
     ruled = SolveOptions(rules=("icu-ch12",))
     for order in ((SolveOptions(), ruled), (ruled, SolveOptions())):
         board = parse_board(serialize_board(demo_board))
+        seen = {}
         for options in order:
-            table = board._table
             for solve in (find_feasible, find_best, enumerate_all):
                 solve(board, request, options)
-            assert board._table is table
-            assert table == board_module._build_table(board)
+            seen.setdefault(options.rules, board._tables[options.rules])
+            assert board._tables.keys() == seen.keys()
+            for rules, table in seen.items():
+                assert board._tables[rules] is table
+                assert table == _fresh_table(board, rules)
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
 @pytest.mark.parametrize("seed", [2024, 7, 11])
 def test_cold_and_warm_boards_answer_alike(seed):
-    """A Board whose table an earlier solve built answers every question as
-    a fresh equal Board does, which builds its table anew."""
+    """A Board whose tables earlier solves built, under both rule sets,
+    answers every question as a fresh equal Board does, which builds its
+    tables anew."""
     stream = 200  # solutions compared per stream
     for board, request in instance_family(seed=seed, count=120):
-        find_feasible(board, request)  # warms the table
-        for rules in ((), ("icu-ch12",)):
+        for rules in RULE_SETS:  # warms both tables
+            find_feasible(board, request, SolveOptions(rules=rules))
+        for rules in RULE_SETS:
             answers = []
             for warm in (dataclasses.replace(board), board):
-                assert ("_table" in vars(warm)) == (warm is board)
+                assert set(vars(warm).get("_tables", ())) == (
+                    set(RULE_SETS) if warm is board else set()
+                )
                 outcome = find_feasible(warm, request, SolveOptions(rules=rules))
                 witness = outcome.witness if isinstance(outcome, Infeasible) else None
                 answers.append((
@@ -1155,16 +1191,17 @@ def test_cold_and_warm_boards_answer_alike(seed):
 
 
 def test_one_table_build_per_board(monkeypatch, demo_board, tmp_path, capsys):
-    """A Board builds its table on its first solve and never again; the
-    subcommands that solve nothing never build one."""
+    """A Board builds one table per rules tuple, on its first solve under
+    those rules, and never again; the subcommands that solve nothing never
+    build one."""
     builds = []
     build = board_module._build_table
 
-    def counted(board):
-        builds.append(board)
-        return build(board)
+    def counted(board, patterns):
+        builds.append((board, patterns))
+        return build(board, patterns)
 
-    monkeypatch.setattr(board_module, "_build_table", counted)
+    monkeypatch.setattr(solver, "_build_table", counted)
     board = parse_board(serialize_board(demo_board))
     kinds = ["analog", "icu", "can-tx", "serial-tx", "i2c-sda"]
     requests = [
@@ -1173,10 +1210,14 @@ def test_one_table_build_per_board(monkeypatch, demo_board, tmp_path, capsys):
         for combo in itertools.combinations_with_replacement(kinds, size)
     ][:50]
     assert len(set(requests)) == 50
-    solves = (find_feasible, find_best, solver.quick_reject, enumerate_all)
+    solves = (find_feasible, find_best, enumerate_all)
+    bogus = solver.Witness(("ICU",), (), 1)
     for n, request in enumerate(requests):
-        solves[n % len(solves)](board, request)
-    assert builds == [board]
+        for rules in RULE_SETS:
+            solves[n % len(solves)](board, request, SolveOptions(rules=rules))
+            check_witness(board, request, bogus, list(rules))
+        solver.quick_reject(board, request)
+    assert builds == [(board, []), (board, [solver.RULES_BY_NAME["icu-ch12"]])]
 
     path = tmp_path / "demo.pins"
     path.write_text(serialize_board(demo_board), encoding="utf-8")
