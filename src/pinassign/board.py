@@ -26,14 +26,12 @@ of a Board writes comes from this grammar, and serialize_board's text parses
 back to an equal Board. parse_board checks only the syntax around these
 values and reports a value's fault at its line and column.
 
-A Board also keeps private tables for the solver, one per tuple of
-eligibility rules it is solved under, each built on the first such solve in
-one pass over its entries: each kind -> the pins offering it in declaration
-order -> the smallest detail they offer it with that every rule on the kind
-admits, each kind's candidate tuple of those pins, and the pin ids and
-costs. They are not fields, so equality, hash and repr ignore them. A Board
-is immutable, so no table goes stale, and a pickle or copy that carries
-them carries correct ones.
+A Board also keeps a private dict, _tables, in which the solver keeps the
+eligibility tables it builds for the Board, one per rule set. Equality,
+hash and repr ignore it, and the constructor starts it empty, so
+dataclasses.replace gives a Board with no table. A Board is immutable, so
+no table goes stale, and a pickle or copy that carries them carries
+correct ones.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ __all__ = ["Board", "BoardParseError", "FunctionEntry", "NO_DETAIL", "Pin", "boa
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import NamedTuple
 
 NO_DETAIL = "-"
 
@@ -140,6 +136,7 @@ class Board:
     pins: tuple[Pin, ...]
     name: str | None = None
     _by_id: dict = field(init=False, repr=False, compare=False)
+    _tables: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         # The ids are checked before the name, so that parse_board can tell
@@ -172,46 +169,6 @@ class Board:
 
     def has_pin(self, pin_id: str) -> bool:
         return pin_id.lower() in self._by_id
-
-    @cached_property
-    def _tables(self) -> dict[tuple[str, ...], _Table]:
-        """The solver's tables by rules tuple, each built on first use
-        (_build_table)."""
-        return {}
-
-
-class _Table(NamedTuple):
-    """One of a Board's solver tables. offers: each kind -> the indices of
-    the pins offering it, in declaration order -> the smallest detail among
-    that pin's entries of the kind that the table's rules admit;
-    candidates: each kind -> those indices as one tuple; ids and costs:
-    each pin's id and cost, by index. Shared by every solve on the Board
-    under the same rules, so no reader may write into it."""
-
-    offers: dict[str, dict[int, str]]
-    candidates: dict[str, tuple[int, ...]]
-    ids: tuple[str, ...]
-    costs: tuple[int, ...]
-
-
-def _build_table(board: Board, patterns: list[tuple[str, re.Pattern]]) -> _Table:
-    """A table of Board._tables, from one pass over the entries. An entry
-    counts only when its detail fully matches every pattern paired with its
-    kind in patterns."""
-    pins = board.pins
-    offers: dict[str, dict[int, str]] = {}
-    for index, pin in enumerate(pins):
-        for e in pin.entries:
-            if patterns and not all(r.fullmatch(e.detail) for k, r in patterns if k == e.kind):
-                continue
-            details = offers.get(e.kind)
-            if details is None:
-                offers[e.kind] = {index: e.detail}
-            elif index not in details or e.detail < details[index]:
-                details[index] = e.detail
-    candidates = {kind: tuple(details) for kind, details in offers.items()}
-    ids = tuple([pin.id for pin in pins])
-    return _Table(offers, candidates, ids, tuple([pin.cost for pin in pins]))
 
 
 def board_stats(board: Board) -> tuple[int, int, set[str]]:

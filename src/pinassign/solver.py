@@ -39,12 +39,12 @@ _Problem.elig is an instance's one eligibility table: each requested kind
 -> its eligible pins in declaration order -> the detail a Binding on that
 pin reports, the smallest eligible one. Candidate lists, witnesses, the
 by-cost levels and Bindings are all read from it. It is read from the
-Board's own table for the solve's rules (board.Board._tables), built on
-the Board's first solve under those rules and shared, never written, by
-every later one, so a solve on a Board already solved under its rules
-scans no pin. _Bindings holds the slots, pin ids and elig it builds
-Bindings from, not the _Problem that holds it, so a solve leaves no
-reference cycle.
+_Table this module builds for the Board and the solve's rule set on the
+Board's first solve under that set, kept in the Board (Board._tables) and
+shared, never written, by every later solve under the same set, so such a
+solve scans no pin. The _Problem is itself the solve's Binding cache, a
+dict whose values are Bindings and hold nothing that points back at it, so
+a solve leaves no reference cycle.
 
 The matching is one list, owner, indexed by pin: owner[p] is the slot
 holding pin p, or _FREE, larger than any slot number, when p is free. The
@@ -54,8 +54,10 @@ the request's.
 
 Eligibility rules are names, keys of RULES_BY_NAME, so options holding them
 are plain values. A rule restricts one kind to the entries whose detail
-matches its pattern. Rules are applied in one place, when the Board's
-table for a rules tuple is built (board._build_table).
+matches its pattern. This module names, validates and applies them: a
+solve keys its table on the rule set, the sorted distinct names, so their
+order and repeats do not matter, and _build_table applies the set in its
+one pass over the Board's entries.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
@@ -85,9 +87,9 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator, NamedTuple
 
-from .board import Board, _build_table
+from .board import Board
 from .request import Request
 
 REASON_KIND_UNSUPPORTED = "kind-unsupported"
@@ -138,6 +140,40 @@ def rule_patterns(rules: tuple[str, ...]) -> list[tuple[str, re.Pattern]]:
         raise ValueError(f"unknown eligibility rule {exc.args[0]!r}") from None
 
 
+class _Table(NamedTuple):
+    """A Board's solver table for one rule set. offers: each kind -> the
+    indices of the pins offering it, in declaration order -> the smallest
+    detail among that pin's entries of the kind that the rules admit;
+    candidates: each kind -> those indices as one tuple; ids and costs:
+    each pin's id and cost, by index. Shared by every solve on the Board
+    under the same rule set, so no reader may write into it."""
+
+    offers: dict[str, dict[int, str]]
+    candidates: dict[str, tuple[int, ...]]
+    ids: tuple[str, ...]
+    costs: tuple[int, ...]
+
+
+def _build_table(board: Board, patterns: list[tuple[str, re.Pattern]]) -> _Table:
+    """A Board's table, from one pass over its entries. An entry counts only
+    when its detail fully matches every pattern paired with its kind in
+    patterns."""
+    pins = board.pins
+    offers: dict[str, dict[int, str]] = {}
+    for index, pin in enumerate(pins):
+        for e in pin.entries:
+            if patterns and not all(r.fullmatch(e.detail) for k, r in patterns if k == e.kind):
+                continue
+            details = offers.get(e.kind)
+            if details is None:
+                offers[e.kind] = {index: e.detail}
+            elif index not in details or e.detail < details[index]:
+                details[index] = e.detail
+    candidates = {kind: tuple(details) for kind, details in offers.items()}
+    ids = tuple([pin.id for pin in pins])
+    return _Table(offers, candidates, ids, tuple([pin.cost for pin in pins]))
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """How to solve: the semantics, the eligibility rules by name, and how
@@ -145,7 +181,7 @@ class SolveOptions:
     with a field outside these raises ValueError."""
 
     semantics: Semantics = Semantics.UNIQUE_PIN_SETS
-    rules: tuple[str, ...] = ()  # keys of RULES_BY_NAME
+    rules: tuple[str, ...] = ()  # keys of RULES_BY_NAME, in any order, repeats allowed
     enumeration_cap: int = 1_000_000
 
     def __post_init__(self):
@@ -213,26 +249,48 @@ class Rejection:
     reason: str
 
 
-class _Bindings(dict):
-    """(slot, pin index) -> that slot's Binding on that pin, built on first lookup.
+class _Problem(dict):
+    """Preprocessed solve instance: canonical slots plus the eligibility
+    table, and the solve's Binding cache.
 
-    Streamed assignments share these frozen Bindings instead of building one
-    per solution. Only pairs some solution uses are ever built, and the cache
-    is one object per solve, so a one-shot solve pays for its own bindings
-    and nothing more. It holds what a Binding is read from, the _Problem's
-    slots and elig and the Board's pin ids, not the _Problem, which holds
-    this cache: a reference back would make every solve a reference cycle.
-    Each Binding skips the dataclass __init__: object.__new__ and four
-    stores into its __dict__, in field order, as _iter_bindings builds an
-    Assignment.
+    elig is that table: each requested kind, in sorted order -> its eligible
+    pins' indices in declaration order -> the detail a Binding on that pin
+    reports, the smallest eligible one. options lists each slot's candidate
+    pins, one tuple per kind, shared by every slot of that kind. Both are
+    read from the Board's _Table for the rule set, the sorted distinct rule
+    names, built on the first solve under that set and shared, never
+    written, by every later one.
+
+    As a dict, a _Problem maps (slot, pin index) to that slot's Binding on
+    that pin, built on first lookup. Streamed assignments share these frozen
+    Bindings instead of building one per solution, and only pairs some
+    solution uses are ever built, so a one-shot solve pays for its own
+    bindings and nothing more. Each Binding skips the dataclass __init__:
+    object.__new__ and four stores into its __dict__, in field order, as
+    _iter_bindings builds an Assignment.
     """
 
-    __slots__ = ("slots", "ids", "elig")
+    # Slots, not an instance dict: with one, the attribute reads of every
+    # _augment call made each verdict 3-12% slower.
+    __slots__ = ("board", "slots", "length", "costs", "ids", "elig", "options")
 
-    def __init__(self, slots: tuple[str, ...], ids: tuple[str, ...], elig: dict):
-        self.slots = slots
-        self.ids = ids
+    def __init__(self, board: Board, request: Request, rules: Iterable[str]):
+        rules = tuple(sorted(set(rules)))
+        tables = board._tables
+        if rules not in tables:
+            tables[rules] = _build_table(board, rule_patterns(rules))
+        offers, candidates, self.ids, self.costs = tables[rules]
+        self.board = board
+        self.slots = slots = request.canonical
+        self.length = len(slots)
+        elig = {}
+        picks = {}
+        for kind in sorted(set(slots)):
+            elig[kind] = offers.get(kind) or {}
+            picks[kind] = candidates.get(kind, ())
         self.elig = elig
+        # Candidate pins per slot, read by _augment and _iter_bindings.
+        self.options = [picks[kind] for kind in slots]
 
     def __missing__(self, key: tuple[int, int]) -> Binding:
         slot, p = key
@@ -245,37 +303,6 @@ class _Bindings(dict):
         fields["pin"] = self.ids[p]
         fields["detail"] = self.elig[kind][p]
         return binding
-
-
-class _Problem:
-    """Preprocessed solve instance: canonical slots plus the eligibility table.
-
-    elig is that table: each requested kind, in sorted order -> its eligible
-    pins' indices in declaration order -> the detail a Binding on that pin
-    reports, the smallest eligible one. options lists each slot's candidate
-    pins, one tuple per kind, shared by every slot of that kind. Both are
-    read from the Board's table for rules (Board._tables), built on the
-    first solve under those rules and shared, never written, by every later
-    one.
-    """
-
-    def __init__(self, board: Board, request: Request, rules: tuple[str, ...]):
-        tables = board._tables
-        if rules not in tables:
-            tables[rules] = _build_table(board, rule_patterns(rules))
-        offers, candidates, ids, self.costs = tables[rules]
-        self.board = board
-        self.slots = slots = request.canonical
-        self.length = len(slots)
-        elig = {}
-        picks = {}
-        for kind in sorted(set(slots)):
-            elig[kind] = offers.get(kind) or {}
-            picks[kind] = candidates.get(kind, ())
-        self.elig = elig
-        # Candidate pins per slot, read by _augment and _iter_bindings.
-        self.options = [picks[kind] for kind in slots]
-        self.bindings = _Bindings(slots, ids, elig)
 
 
 def _augment(problem: _Problem, slot: int, owner: list[int], blocked: set[int]) -> bool:
@@ -312,7 +339,7 @@ def _witness(problem: _Problem, kinds: tuple[str, ...]) -> Witness:
     support = sorted({p for k in wanted for p in problem.elig[k]})
     return Witness(
         kinds,
-        tuple(problem.board.pins[p].id for p in support),
+        tuple(problem.ids[p] for p in support),
         sum(1 for k in problem.slots if k in wanted),
     )
 
@@ -321,7 +348,7 @@ def check_witness(
     board: Board,
     request: Request,
     witness: Witness,
-    rules: tuple[str, ...] = (),
+    rules: Iterable[str] = (),
 ) -> bool:
     """Machine-check an infeasibility witness against its instance.
 
@@ -329,7 +356,7 @@ def check_witness(
     kind (under the same rules, any sequence of rule names) and the request
     demands more occurrences of those kinds than there are such pins.
     """
-    problem = _Problem(board, request, tuple(rules))
+    problem = _Problem(board, request, rules)
     if not set(witness.kinds) <= problem.elig.keys():
         return False
     return witness == _witness(problem, witness.kinds) and witness.demanded > len(witness.pins)
@@ -522,7 +549,6 @@ def _iter_bindings(
         return
     options = problem.options
     costs = problem.costs
-    bindings = problem.bindings
     new = object.__new__
     distinct_sets = semantics is not Semantics.LABELED
     last = length - 1
@@ -568,7 +594,7 @@ def _iter_bindings(
                     # Assignment(bindings, cost, board) without its __init__.
                     a = new(Assignment)
                     fields = a.__dict__
-                    fields["bindings"] = leaf = (*prefix, bindings[i, p])
+                    fields["bindings"] = leaf = (*prefix, problem[i, p])
                     fields["total_cost"] = cost = spent + costs[p]
                     fields["board"] = board
                     yield a
@@ -621,7 +647,7 @@ def _iter_bindings(
                     memo[taken] = leaves
                 continue
             chosen.append(p)
-            bound.append(bindings[i, p])
+            bound.append(problem[i, p])
             spent += costs[p]
             break
         else:

@@ -670,6 +670,24 @@ def test_rule_does_not_stick_to_the_shared_parser(capsys):
     assert cli._build_parser().parse_args(argv).rule == []
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_repeated_rule_prints_what_the_rule_prints_once(capsys, fmt):
+    """--rule names a set of rules: icu-ch12 given twice prints solve-best's
+    and labeled solve-all's reports byte for byte as given once, and the
+    rule changes both reports."""
+    request = "icu,icu,icu"
+    for argv in (
+        ["solve-best", "--board", DEMO, "--request", request, "--format", fmt],
+        _solve_all_argv(DEMO, request, "labeled", fmt),
+    ):
+        outs = []
+        for rules in ([], ["--rule", "icu-ch12"], ["--rule", "icu-ch12"] * 2):
+            assert run([*argv, *rules]) == 0
+            outs.append(capsys.readouterr().out)
+        unruled, once, twice = outs
+        assert twice == once != unruled, argv
+
+
 def test_usage_errors_and_help_leave_the_shared_parser_working(capsys):
     cli._build_parser()
     assert run(["solve"]) == 2

@@ -28,10 +28,10 @@ from pinassign import (
     parse_board,
     parse_request,
 )
-from pinassign.oracle import realization_count
 
 from alloy_reference import has_counterexample, read_assertions, read_pins
 from conftest import instance_family, prolog_text, random_board
+from count_references import realization_count
 from prolog_reference import fact_base_by_product
 
 PA1_SIGNATURE = """\

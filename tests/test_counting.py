@@ -6,10 +6,10 @@ import random
 import pytest
 
 from pinassign import config_space, config_space_board, k_factor, parse_board
-from pinassign.oracle import brute_force_board_space, brute_force_space
 
 import conftest
 from conftest import _k_factor_row
+from count_references import brute_force_board_space, brute_force_space
 
 
 def test_k_factor_base_case():

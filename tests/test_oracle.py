@@ -3,13 +3,10 @@
 import pytest
 
 from pinassign import parse_request
-from pinassign.oracle import (
-    InstanceTooLargeError,
-    brute_force_solve,
-    brute_force_space,
-)
+from pinassign.oracle import InstanceTooLargeError, brute_force_solve
 
 from conftest import random_board
+from count_references import brute_force_space
 
 
 def test_two_analog_ground_truth(two_pin_board):

@@ -40,7 +40,7 @@ from pinassign import (
     serialize_board,
 )
 from pinassign.cli import bench, run
-from pinassign import board as board_module, solver
+from pinassign import solver
 from pinassign.solver import _Problem
 from pinassign.oracle import brute_force_solve
 
@@ -177,6 +177,33 @@ def test_check_witness_reads_a_list_of_rules_as_their_tuple():
                 assert listed == check_witness(board, request, outcome.witness, other)
                 verdicts.append(listed)
     assert verdicts.count(True) >= 10 and verdicts.count(False) >= 5
+
+
+def test_a_repeated_rule_reads_the_table_of_its_rule_set(demo_board):
+    """Tables are keyed on the rule set, not on the names as given: a Board
+    solved under ("icu-ch12",), then ("icu-ch12", "icu-ch12"), then checked
+    with a list naming the rule twice, holds one ruled table and gives the
+    same answers each time."""
+    board = parse_board(serialize_board(demo_board))
+    infeasible = parse_request(",".join(["icu"] * 8))  # 7 pins pass icu-ch12
+    request = parse_request("icu,icu,icu,analog")
+    answers = []
+    for rules in (("icu-ch12",), ("icu-ch12", "icu-ch12")):
+        options = SolveOptions(rules=rules)
+        answers.append((
+            find_feasible(board, infeasible, options),
+            find_best(board, request, options),
+            enumerate_all(board, request, SolveOptions(Semantics.LABELED, rules)),
+        ))
+    assert list(board._tables) == [("icu-ch12",)]
+    table = board._tables[("icu-ch12",)]
+    assert answers[0] == answers[1]
+    outcome = answers[0][0]
+    assert isinstance(outcome, Infeasible) and len(outcome.witness.pins) == 7
+    for rules in (("icu-ch12",), ["icu-ch12", "icu-ch12"]):
+        assert check_witness(board, infeasible, outcome.witness, rules)
+    assert list(board._tables) == [("icu-ch12",)]
+    assert board._tables[("icu-ch12",)] is table
 
 
 @pytest.mark.parametrize(
@@ -911,7 +938,7 @@ def test_streamed_assignments_equal_ones_built_from_their_pins(demo_board, optio
         assert tuple(b.kind for b in a.bindings) == request.canonical
         pins = [index[b.pin] for b in a.bindings]
         built = Assignment(
-            tuple(problem.bindings[i, p] for i, p in enumerate(pins)),
+            tuple(problem[i, p] for i, p in enumerate(pins)),
             sum(demo_board.pins[p].cost for p in pins),
             demo_board,
         )
@@ -991,31 +1018,32 @@ def test_a_solve_builds_only_the_bindings_it_yields(monkeypatch):
     large the board. find_feasible builds one Binding per slot of its
     answer."""
     built = []
-    missing = solver._Bindings.__missing__
+    missing = _Problem.__missing__
 
     def counted(self, key):
         built.append(key)
         return missing(self, key)
 
-    monkeypatch.setattr(solver._Bindings, "__missing__", counted)
+    monkeypatch.setattr(_Problem, "__missing__", counted)
     board = Board(tuple(Pin(f"P{j}", (FunctionEntry("ANALOG", f"ADC_IN{j}"),)) for j in range(300)))
     request = Request(("ANALOG",) * 200)
-    _Problem(board, request, ())
+    assert len(_Problem(board, request, ())) == 0
     assert built == []
     outcome = find_feasible(board, request)
     assert len(built) == len(outcome.bindings) == 200
 
 
 def test_a_solve_leaves_no_reference_cycle(demo_board):
-    """A _Problem and its Bindings cache are freed as soon as the solve
-    drops them: a cycle between the two would leave every solve's tables
-    to the garbage collector."""
+    """A _Problem and the Bindings it caches are freed as soon as the solve
+    drops them: a cycle through them would leave every solve's tables to
+    the garbage collector. A _Problem has __slots__ and so takes no weak
+    reference; the Binding it alone holds is freed with it."""
     request = parse_request("analog,analog,icu,can-tx")
     gc.disable()
     try:
         problem = _Problem(demo_board, request, ())
-        assert problem.bindings[0, 0].detail == "ADC1_IN1"
-        freed = weakref.ref(problem)
+        assert problem[0, 0].detail == "ADC1_IN1"
+        freed = weakref.ref(problem[0, 0])
         del problem
         assert freed() is None
         gc.collect()
@@ -1067,7 +1095,7 @@ def test_eligibility_tables_equal_a_per_kind_scan():
 
 
 def test_solver_bindings_are_indistinguishable_from_constructed_ones(demo_board):
-    """_Bindings builds each Binding without the dataclass __init__; nothing
+    """A _Problem builds each Binding without the dataclass __init__; nothing
     a caller can observe may tell it from one the constructor builds. Every
     (slot, eligible pin) of every prefix of both demo requests, under both
     rule sets."""
@@ -1080,7 +1108,7 @@ def test_solver_bindings_are_indistinguishable_from_constructed_ones(demo_board)
                 problem = _Problem(demo_board, request, rules)
                 pairs = [(slot, p) for slot, ps in enumerate(problem.options) for p in ps]
                 for slot, p in pairs:
-                    b = problem.bindings[slot, p]
+                    b = problem[slot, p]
                     kind = request.canonical[slot]
                     built = Binding(slot, kind, demo_board.pins[p].id, problem.elig[kind][p])
                     assert type(b) is Binding and b == built and hash(b) == hash(built)
@@ -1118,7 +1146,7 @@ def _board_views(board):
 
 def _fresh_table(board, rules):
     """The table board._tables holds for rules, built anew."""
-    return board_module._build_table(board, solver.rule_patterns(rules))
+    return solver._build_table(board, solver.rule_patterns(rules))
 
 
 def test_board_table_is_invisible_and_never_written(demo_board):
@@ -1128,7 +1156,7 @@ def test_board_table_is_invisible_and_never_written(demo_board):
     existing one."""
     board = parse_board(serialize_board(demo_board))
     request = parse_request("analog,analog,icu,icu,can-tx")
-    assert "_tables" not in vars(board)
+    assert board._tables == {}
     before = _board_views(board)
     for rules in RULE_SETS:
         find_feasible(board, request, SolveOptions(rules=rules))
@@ -1170,9 +1198,7 @@ def test_cold_and_warm_boards_answer_alike(seed):
         for rules in RULE_SETS:
             answers = []
             for warm in (dataclasses.replace(board), board):
-                assert set(vars(warm).get("_tables", ())) == (
-                    set(RULE_SETS) if warm is board else set()
-                )
+                assert set(warm._tables) == (set(RULE_SETS) if warm is board else set())
                 outcome = find_feasible(warm, request, SolveOptions(rules=rules))
                 witness = outcome.witness if isinstance(outcome, Infeasible) else None
                 answers.append((
@@ -1191,11 +1217,11 @@ def test_cold_and_warm_boards_answer_alike(seed):
 
 
 def test_one_table_build_per_board(monkeypatch, demo_board, tmp_path, capsys):
-    """A Board builds one table per rules tuple, on its first solve under
-    those rules, and never again; the subcommands that solve nothing never
-    build one."""
+    """A Board builds one table per rule set, on its first solve under that
+    set, and never again; the subcommands that solve nothing never build
+    one."""
     builds = []
-    build = board_module._build_table
+    build = solver._build_table
 
     def counted(board, patterns):
         builds.append((board, patterns))
