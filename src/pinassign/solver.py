@@ -22,10 +22,12 @@ either repairs it with one augmenting path (_augment, the only
 augmenting-path routine) or skips that pin. Both read each slot's candidate
 pins from _Problem.options, where the slots of one kind share one list.
 _augment keeps one set of blocked pins: those the caller rules out (a
-repair's bound pins) and every pin it has tried. A labeled search therefore
-opens no node without a solution below it, and find_feasible is its first
-solution. When the initial matching fails, the infeasibility witness is
-read from the pins that failed search blocked.
+repair's bound pins) and every pin it has tried. A failed repair proves
+every pin it reached dead at its node, so the node skips those candidates
+without a search and blocks them in its later repairs. A labeled search
+therefore opens no node without a solution below it, and find_feasible is
+its first solution. When the initial matching fails, the infeasibility
+witness is read from the pins that failed search blocked.
 find_best runs the same search on the instance _prepare builds by_cost: a
 minimum-cost matching, inserted in the same loop one cost level at a time,
 cheapest first (the only matching a solve builds), candidates cut to the
@@ -69,10 +71,11 @@ Assignments share their frozen Binding objects: each solve builds at most one
 Binding per (slot, pin), on first use and also without the dataclass
 __init__. A labeled stream walks the subtree below a run of equal-kind slots
 once per set of pins the run takes and replays it for the run's other
-orderings. It holds the search state, O(request length), plus those shared
-Bindings, plus a memo of the replayed suffixes of at most _MEMO_CELLS cells,
-under 1.5 MB; pin-set streaming keeps no memo but remembers every distinct
-pin set it has yielded.
+orderings. It holds the search state, O(request length), plus each open
+node's dead pins, O(request length x pins) in all whatever the number of
+solutions, plus those shared Bindings, plus a memo of the replayed suffixes
+of at most _MEMO_CELLS cells, under 1.5 MB; pin-set streaming keeps no memo
+but remembers every distinct pin set it has yielded.
 """
 
 from __future__ import annotations
@@ -181,7 +184,7 @@ class SolveOptions:
     with a field outside these raises ValueError."""
 
     semantics: Semantics = Semantics.UNIQUE_PIN_SETS
-    rules: tuple[str, ...] = ()  # keys of RULES_BY_NAME, in any order, repeats allowed
+    rules: tuple[str, ...] = ()  # keys of RULES_BY_NAME, kept as the sorted distinct names
     enumeration_cap: int = 1_000_000
 
     def __post_init__(self):
@@ -190,6 +193,8 @@ class SolveOptions:
         if not isinstance(self.rules, tuple):
             raise ValueError(f"rules must be a tuple of rule names, got {self.rules!r}")
         rule_patterns(self.rules)
+        # So options naming one rule set, in any order or with repeats, are equal.
+        object.__setattr__(self, "rules", tuple(sorted(set(self.rules))))
         if not isinstance(self.enumeration_cap, int):
             raise ValueError(f"enumeration cap must be an integer, got {self.enumeration_cap!r}")
         if self.enumeration_cap < 0:
@@ -502,6 +507,36 @@ def _iter_bindings(
     So every opened node has a solution below it in labeled mode, and the
     first assignment yielded is the lexicographically smallest solution.
 
+    A failed repair proves more than that p is dead. Say the repair from j,
+    with p and the chosen pins blocked, reached the pins R. All of them are
+    matched, none is free, and i's pin, freed for the repair, is not among
+    them, or the repair would have succeeded. Let T be j plus the holders of
+    R. Then |T| = |R| + 1, and every candidate of a slot of T outside the
+    chosen pins lies in R | {p}, so T fits only if it gets all of R | {p}
+    (Hall's condition is tight there). Whatever matching owner later holds
+    below this node:
+    - every pin of R | {p} is a dead candidate for slot i;
+    - no augmenting path for a live candidate passes through R | {p}: it
+      would stay inside it and reach no free pin, so blocking those pins
+      loses no repair, and a repair succeeds along the same path as without
+      them;
+    - a later failure seeded with them reaches a set whose union with them
+      is again tight, so it proves its own pins dead too.
+    The spare rule does not break this. A spare does not search on from
+    another spare's pin, but spares of one cost level share one candidate
+    list, so T's candidates are still closed.
+
+    Each frame therefore keeps its node's dead pins: the shared () until the
+    node's first failed repair, so a node without one allocates nothing. A
+    candidate among them is skipped without a search (a dead pin is never
+    free, never i's own and never taken above). Each later repair at the
+    node is seeded with them, and after a failure they become its blocked
+    pins less the chosen ones. Every output, its order and the matching
+    owner holds are those of the search without them. Each open node holds
+    at most its dead pins, kept without the chosen ones and freed when it
+    closes, so O(request length x pins) in all, whatever the number of
+    solutions.
+
     Unless semantics is LABELED, runs of equal-kind slots are forced onto
     strictly increasing pin indices, so each (kind -> pin set) split appears
     once, in its smallest arrangement. That floor is not part of the
@@ -534,9 +569,9 @@ def _iter_bindings(
     first solution is resumed, so find_feasible never pays for it, and it
     records at most _MEMO_CELLS cells, under 1.5 MB; once they are spent it
     records nothing more. Memory is the O(request length) search state, the
-    shared Bindings and that memo; pin-set mode, whose yielded sets make a
-    node's solutions depend on what came before, keeps no memo but the
-    yielded pin sets.
+    open nodes' dead pins, the shared Bindings and that memo; pin-set mode,
+    whose yielded sets make a node's solutions depend on what came before,
+    keeps no memo but the yielded pin sets.
 
     One loop with an explicit stack, so the depth is not bounded by Python's
     recursion limit.
@@ -557,8 +592,9 @@ def _iter_bindings(
     spent = 0  # and their total cost
     seen: set[frozenset[int]] = set()  # pin sets yielded, unless LABELED
     # One entry per open inner node, from the root down: its untried
-    # candidates and the pin its slot must exceed (-1 for none).
-    frames: list[tuple[Iterator[int], int]] = []
+    # candidates, the pin its slot must exceed (-1 for none) and its dead
+    # pins, () until its first failed repair.
+    frames: list[tuple[Iterator[int], int, tuple[()] | set[int]]] = []
     # The labeled memo: the run ends, none until the first solution is
     # resumed; each recorded run end's leaves by its sorted taken pins; the
     # run ends being recorded, (node, cost above it, leaves so far, taken
@@ -604,7 +640,7 @@ def _iter_bindings(
                 pending = False
                 ends = {j for j in range(2, last) if slots[j - 1] == slots[j - 2] != slots[j]}
         elif tails is None:
-            frames.append((iter(options[i]), floor))
+            frames.append((iter(options[i]), floor, ()))
             mine = owner.index(i)
         else:
             prefix = tuple(bound)
@@ -619,7 +655,7 @@ def _iter_bindings(
                     left = _record(recording, leaf, cost, left)
         # Bind the deepest open node's next candidate, closing exhausted nodes.
         while frames:
-            candidates, floor = frames[-1]
+            candidates, floor, dead = frames[-1]
             i = len(frames) - 1
             if len(chosen) > i:
                 mine = chosen.pop()
@@ -627,7 +663,7 @@ def _iter_bindings(
                 spent -= costs[mine]
             for p in candidates:
                 held = owner[p]
-                if p <= floor or held < i:
+                if p <= floor or held < i or p in dead:
                     continue
                 if held == i:
                     break
@@ -635,11 +671,15 @@ def _iter_bindings(
                 owner[mine] = _FREE
                 if held == _FREE:
                     break
-                # Find the displaced slot another pin, or undo and skip p.
-                if _augment(problem, held, owner, {p, *chosen}):
+                # Find the displaced slot another pin, or undo, skip p and
+                # keep what the failure reached as the node's dead pins.
+                tried = {p, *chosen, *dead}
+                if _augment(problem, held, owner, tried):
                     break
                 owner[p] = held
                 owner[mine] = i
+                dead = tried.difference(chosen)
+                frames[-1] = (candidates, floor, dead)
             else:
                 frames.pop()
                 if recording and recording[-1][0] == i:

@@ -237,6 +237,25 @@ def test_solve_options_with_rules_are_values(two_pin_board):
     assert "'icu-ch12'" in repr(a)
 
 
+def test_solve_options_keep_their_rule_set(monkeypatch):
+    """Options naming one rule set are one value: the names are kept sorted
+    and each once, so a repeat or another order compares and hashes equal,
+    and prints alike. The check runs before the names are sorted, so a
+    non-tuple or an unknown name among them is still refused by name."""
+    monkeypatch.setitem(solver.RULES_BY_NAME, "b-rule", solver.RULES_BY_NAME["icu-ch12"])
+    once = SolveOptions(rules=("b-rule", "icu-ch12"))
+    for rules in (("icu-ch12", "b-rule"), ("b-rule", "icu-ch12", "b-rule", "icu-ch12")):
+        options = SolveOptions(rules=rules)
+        assert options.rules == ("b-rule", "icu-ch12")
+        assert options == once and hash(options) == hash(once) and repr(options) == repr(once)
+    assert SolveOptions(rules=("icu-ch12", "icu-ch12")) == SolveOptions(rules=("icu-ch12",))
+    assert dataclasses.replace(once, rules=("icu-ch12",) * 3).rules == ("icu-ch12",)
+    with pytest.raises(ValueError, match="unknown eligibility rule 'nope'"):
+        SolveOptions(rules=("icu-ch12", "nope", "icu-ch12"))
+    with pytest.raises(ValueError, match="rules must be a tuple of rule names"):
+        SolveOptions(rules=["icu-ch12", "icu-ch12"])
+
+
 @pytest.mark.parametrize(
     "solve",
     [find_feasible, iter_assignments, enumerate_all, find_best, extend_assignment, bench],
@@ -583,7 +602,10 @@ def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
     """ICU, PWM and SERIAL_TX each have four pins, but once the ANALOG slots
     take P0 and P1 the three kinds share two. No single kind is short, so only
     a matching sees it; a search without that prune walks every placement of
-    the ANALOG slots on the Q pins (seconds, doubling with each Q pin)."""
+    the ANALOG slots on the Q pins (seconds, doubling with each Q pin). A
+    node's first failed repair marks the pins it reached dead there, and the
+    node skips them without another search (102 calls when each such
+    candidate ran its own failed repair)."""
     text = (
         "pin P0 = ANALOG, ICU, PWM, SERIAL_TX\n"
         "pin P1 = ANALOG, ICU, PWM, SERIAL_TX\n"
@@ -594,7 +616,7 @@ def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
     request = parse_request(",".join(["analog"] * 7 + ["icu", "pwm", "serial-tx"]))
     count = _count_augments(monkeypatch)
     first = next(iter_assignments(board, request, LABELED))
-    assert count[0] == 102
+    assert count[0] == 87
     assert [b.pin for b in first.bindings] == [
         "P0", "Q0", "Q1", "Q2", "Q3", "Q4", "Q5", "P1", "P2", "P3",
     ]
@@ -623,17 +645,78 @@ def test_best_search_call_count(monkeypatch):
     included: _prepare's, built one cost level at a time. The spare slots
     make each repair see the cost bound, so no open node lacks a
     minimum-cost solution below it; without them the search still ends on
-    this answer, but only after millions of calls. The count pins today's
-    search exactly."""
+    this answer, but only after millions of calls. A node skips the pins its
+    failed repairs reached without another search (237 calls when each such
+    candidate ran its own repair). The count pins today's search exactly."""
     board, request = _planted_instance(random.Random(7), 64, 24)
     count = _count_augments(monkeypatch, limit=10_000)
     best = find_best(board, request)
-    assert count[0] == 237
+    assert count[0] == 171
     assert best.total_cost == 38
     assert [b.pin for b in best.bindings] == [
         "P20", "P23", "P51", "P54", "P1", "P14", "P35", "P18", "P28", "P32", "P34", "P44",
         "P52", "P3", "P62", "P8", "P19", "P24", "P11", "P16", "P2", "P4", "P9", "P27",
     ]
+
+
+def test_best_search_skips_what_its_failed_repairs_proved(monkeypatch):
+    """find_best's _augment calls on one 512x128 board, its matching
+    included. Most failed repairs there would re-prove, at the same node, a
+    Hall deficiency an earlier failure at that node found; skipping the pins
+    that failure reached takes the calls from 19,642 to 6,135. The limit
+    ends a search that lost the skip at once."""
+    board, request = _planted_instance(random.Random(7), 512, 128)
+    count = _count_augments(monkeypatch, limit=10_000)
+    best = find_best(board, request)
+    assert count[0] == 6_135
+    assert best.total_cost == 176
+
+
+def _search_repairs(monkeypatch) -> list[tuple[int, bool]]:
+    """Record each repair _iter_bindings runs as (its node, whether it
+    succeeded). _prepare's insertions and the recursive steps of a search
+    are not repairs."""
+    augment = solver._augment
+    repairs = []
+
+    def recorded(*args):
+        caller = sys._getframe(1)
+        node = caller.f_locals["i"] if caller.f_code.co_name == "_iter_bindings" else None
+        found = augment(*args)
+        if node is not None:
+            repairs.append((node, found))
+        return found
+
+    monkeypatch.setattr(solver, "_augment", recorded)
+    return repairs
+
+
+def test_a_failed_repair_proves_its_region_dead(monkeypatch):
+    """R0-R2 offer ANALOG and PWM, X only ANALOG, and the three PWM slots
+    need all of R0-R2. At the root, the ANALOG slot meets R0, R1 and R2
+    before X: the first repair fails, and the pins it reached and their
+    holders form a tight Hall set, so R1 and R2 are skipped without a
+    search. A search without the skip runs one failed repair per candidate
+    there. Both streams, the first and the best answer equal the oracle's."""
+    board = parse_board(
+        "pin R0 = ANALOG, PWM\npin R1 = ANALOG, PWM\npin R2 = ANALOG, PWM\npin X = ANALOG\n"
+    )
+    request = parse_request("pwm,analog,pwm,pwm")
+    truth = brute_force_solve(board, request)
+    first_best = truth.labeled[truth.costs.index(truth.min_cost)]
+    repairs = _search_repairs(monkeypatch)
+    answers = [
+        (lambda: _solve_all_plain(board, request, LABELED), list(truth.labeled)),
+        (lambda: _solve_all_plain(board, request, SolveOptions()), list(truth.representatives)),
+        (lambda: plain_bindings(find_feasible(board, request)), truth.labeled[0]),
+        (lambda: plain_bindings(find_best(board, request)), first_best),
+    ]
+    for answer, expected in answers:
+        repairs.clear()
+        with pytest.warns(AllPinsUsedWarning):
+            assert answer() == expected
+        assert [(node, found) for node, found in repairs if not found] == [(0, False)]
+    assert truth.min_cost == 7
 
 
 def test_best_search_does_not_recurse_once_per_spare():
