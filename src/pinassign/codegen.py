@@ -19,7 +19,9 @@ _document, which measures its UTF-8 size. The Prolog fact base is the one
 large document, and it is never held whole: its header, one block of facts
 per pin subset, and its rules are pieces written by one loop to the caller's
 sink. Kind and pin atoms are built once per board, and a fact's kind list
-once per fact size, so memory holds the atom tables, one size's kind lists
+once per fact size. The subsets that share all but their last pin are
+written together, from their shared prefix's codes sorted once, so memory
+holds the atom tables, one size's kind lists, one prefix's shifted codes
 and at most one subset's block.
 """
 
@@ -99,6 +101,18 @@ def _document(kind: str, text: str, items: int) -> EmitterOutput:
     return EmitterOutput(kind, text, items, len(text.encode("utf-8")))
 
 
+class _Memo(dict):
+    """A dict that builds a missing key's value with build(key), once."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
 def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]:
     """Yield the fact base as pieces, each with its fact count: the header,
     each pin subset's fact lines as one block, then the inference rules.
@@ -116,22 +130,33 @@ def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]
     count reaches B, so codes of one size sort descending exactly as their
     sorted rank tuples sort ascending: where two tuples first differ, the
     smaller holds more of that rank and the same count of every lower one.
-    levels[d] holds the codes of the current subset's first d pins, and the
-    next subset in combinations order rebuilds only the levels from its
-    first changed pin, each code extended by one addition per kind of that
-    pin. A code's "config([..." head is built on first use in a size and
-    dropped with the size's cache. Memory holds the atom tables, the levels,
-    one size's heads and one subset's block.
+
+    The subsets of one size that share their first k-1 pins (their prefix)
+    are consecutive in combinations order, so each prefix is walked once:
+    levels[d] holds the codes of its first d pins, rebuilt only from the
+    first pin that differs from the previous prefix, and the prefix's codes
+    are sorted descending once. A later pin's kind of weight w adds w to
+    every code, so the shifted run of each weight is built on first use and
+    shared by all of the prefix's later pins. A pin of one kind reads its
+    run as it is, already sorted and distinct; a pin of several kinds
+    concatenates its runs and sorts them (timsort merges the runs). Two runs
+    share a code only when the prefix offers both of their kinds (c + wa ==
+    c' + wb puts kind a in c' and kind b in c), so repeats are dropped, with
+    dict.fromkeys, only for a pin that offers two or more of the prefix's
+    kinds. A code's "config([..." head is built on first use in a size and dropped
+    with the size. Memory holds the atom tables, the levels, one size's
+    heads, one prefix's runs and one subset's block.
     """
     texts = {kind: kind.lower().replace("_", "-") for pin in board.pins for kind in pin.kinds()}
     kinds = sorted(texts, key=texts.__getitem__)
     kind_atoms = [f"'{texts[k]}'" if "-" in texts[k] else texts[k] for k in kinds]
     pin_atoms = [pin.id.lower() for pin in board.pins]
     costs = [pin.cost for pin in board.pins]
-    top = min(max_len, len(board))
+    n = len(board)
+    top = min(max_len, n)
     base = top + 1
     weight = {kind: base ** (len(kinds) - 1 - r) for r, kind in enumerate(kinds)}
-    pin_weights = [{weight[kind] for kind in pin.kinds()} for pin in board.pins]
+    pin_weights = [sorted({weight[kind] for kind in pin.kinds()}) for pin in board.pins]
 
     def head(code: int) -> str:
         atoms: list[str] = []
@@ -146,24 +171,34 @@ def _iter_prolog_blocks(board: Board, max_len: int) -> Iterator[tuple[str, int]]
         f"% config(SortedKinds, [Pins, TotalCost]) up to length {max_len}\n\n"
     ), 0
     for k in range(1, top + 1):
-        heads: dict[int, str] = {}
-        levels: list[set[int]] = [{0}] * (k + 1)
-        previous = (-1,) * k
-        for subset in itertools.combinations(range(len(board)), k):
+        heads = _Memo(head)
+        levels: list[set[int]] = [{0}] * k
+        previous = (-1,) * (k - 1)
+        for prefix in itertools.combinations(range(n - 1), k - 1):
             d = 0
-            while subset[d] == previous[d]:
+            while d < k - 1 and prefix[d] == previous[d]:
                 d += 1
-            for d in range(d, k):
-                levels[d + 1] = {code + w for code in levels[d] for w in pin_weights[subset[d]]}
-            previous = subset
-            multisets = levels[k]
-            for code in multisets.difference(heads):
-                heads[code] = head(code)
-            pins = ",".join(pin_atoms[i] for i in subset)
-            cost = sum(costs[i] for i in subset)
-            tail = f"],[[{pins}],{cost}]).\n"
-            block = tail.join(map(heads.__getitem__, sorted(multisets, reverse=True))) + tail
-            yield block, len(multisets)
+            for d in range(d, k - 1):
+                levels[d + 1] = {code + w for code in levels[d] for w in pin_weights[prefix[d]]}
+            previous = prefix
+            desc = sorted(levels[k - 1], reverse=True)
+            runs = _Memo(lambda w, desc=desc: [code + w for code in desc])
+            pins = "".join(pin_atoms[i] + "," for i in prefix)
+            cost = sum(costs[i] for i in prefix)
+            offered = set().union(*map(pin_weights.__getitem__, prefix))
+            for j in range(prefix[-1] + 1 if prefix else 0, n):
+                weights = pin_weights[j]
+                if len(weights) == 1:
+                    codes = runs[weights[0]]
+                else:
+                    merged = []
+                    for w in weights:
+                        merged += runs[w]
+                    merged.sort(reverse=True)
+                    shared = len(offered.intersection(weights))
+                    codes = dict.fromkeys(merged) if shared > 1 else merged
+                tail = f"],[[{pins}{pin_atoms[j]}],{cost + costs[j]}]).\n"
+                yield tail.join(map(heads.__getitem__, codes)) + tail, len(codes)
     yield "\n" + PROLOG_INFERENCE_RULES, 0
 
 
@@ -175,7 +210,8 @@ def emit_prolog(board: Board, max_len: int, sink) -> EmitterOutput:
     lowercased with underscores written as hyphens (quoted when needed);
     pin atoms are lowercased. Each pin subset's facts go out in one write,
     so whatever the document's size, memory holds the per-board atom
-    tables, one size's fact heads and one subset's block.
+    tables, one size's fact heads, one pin prefix's shifted codes and one
+    subset's block.
 
     sink is any object with write(str); a caller who wants the text passes
     an io.StringIO and reads it back. The returned text is empty; items is

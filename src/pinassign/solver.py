@@ -136,7 +136,10 @@ RULES_BY_NAME = {"icu-ch12": ("ICU", re.compile(r"TIM\d+_CH[12]"))}
 
 def rule_patterns(rules: tuple[str, ...]) -> list[tuple[str, re.Pattern]]:
     """The (kind, detail pattern) of each named rule; ValueError for a name
-    RULES_BY_NAME does not hold."""
+    that is not a string or that RULES_BY_NAME does not hold."""
+    for name in rules:
+        if not isinstance(name, str):
+            raise ValueError(f"rule names must be strings, got {name!r}")
     try:
         return [RULES_BY_NAME[name] for name in rules]
     except KeyError as exc:

@@ -160,19 +160,23 @@ class _CountingSink:
 
 
 def test_prolog_streaming_keeps_memory_bounded(demo_board):
-    """The demo's 572 KB fact base at max_len 3 and 5.75 MB one at max_len 4
-    stream in a small fraction of their size: memory holds the atom tables,
-    one size's fact heads and one pin subset's block."""
-    for max_len, nbytes in [(3, 572_126), (4, 5_751_884)]:
+    """The demo's 572 KB fact base at max_len 3 and 5.75 MB one at max_len 4,
+    and a 60-pin board's 8.1 MB one at max_len 3, stream in a small fraction
+    of their size: memory holds the atom tables, one size's fact heads, one
+    pin prefix's shifted code runs and one pin subset's block."""
+    wide = _wide_board(random.Random(60), 60)
+    for board, max_len, nbytes in [
+        (demo_board, 3, 572_126), (demo_board, 4, 5_751_884), (wide, 3, 8_098_991),
+    ]:
         sink = _CountingSink()
         tracemalloc.start()
         try:
-            output = emit_prolog(demo_board, max_len, sink=sink)
+            output = emit_prolog(board, max_len, sink=sink)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert (output.nbytes, sink.chars) == (nbytes, nbytes)
-        assert peak < output.nbytes // 10, max_len
+        assert peak < output.nbytes // 10, (len(board), max_len)
 
 
 @pytest.mark.parametrize(
@@ -261,6 +265,47 @@ def test_prolog_equals_product_reference():
     wanted = {("pins", n) for n in range(12)} | {("max_len", n) for n in range(1, 7)}
     wanted |= {("kinds", 8), ("max_len above pins", True)}
     assert wanted <= seen
+
+
+
+# Few kinds, so that wide boards repeat kind sets and a pin's shifted runs
+# overlap; two pairs of them order differently as atoms and as names.
+_WIDE_POOL = ["A", "A_B", "AB", "CAN_TX", "CANX", "PWM"]
+
+
+def _wide_board(rng, n):
+    """A board of n pins with 1-3 kinds each from _WIDE_POOL (some repeated
+    under another detail), two of which offer the same two kinds and the
+    last of which offers one."""
+    kind_sets = [rng.sample(_WIDE_POOL, rng.choice([1, 1, 2, 2, 3])) for _ in range(n - 1)]
+    i, j = rng.sample(range(n - 1), 2)
+    kind_sets[i] = rng.sample(_WIDE_POOL, 2)
+    kind_sets[j] = kind_sets[i][:]
+    kind_sets.append(rng.sample(_WIDE_POOL, 1))
+    pins = []
+    for i, kinds in enumerate(kind_sets):
+        kinds += rng.sample(kinds, rng.randint(0, 1))
+        pins.append(Pin(f"W{i}", tuple(FunctionEntry(kind, f"D{j}") for j, kind in enumerate(kinds))))
+    return Board(tuple(pins), "wide")
+
+
+def test_prolog_equals_product_reference_on_wide_boards():
+    """Boards wider than the seeded cases, byte for byte against the
+    product-and-sort reference. Their pins of one kind read a shifted run as
+    it is (the last pin among them), many pins share a kind set, and two
+    pins sharing two kinds give a subset whose shifted runs overlap, so its
+    merged codes must drop repeats; pins of several kinds that offer at most
+    one of their prefix's kinds merge runs that cannot overlap."""
+    rng = random.Random(31)
+    for _ in range(12):
+        board, max_len = _wide_board(rng, rng.randint(24, 40)), rng.randint(2, 3)
+        kind_sets = [frozenset(pin.kinds()) for pin in board.pins]
+        assert len(kind_sets[-1]) == 1
+        assert any(kind_sets.count(kinds) > 1 for kinds in kind_sets if len(kinds) > 1)
+        text, facts = fact_base_by_product(board, max_len)
+        written, output = prolog_text(board, max_len)
+        assert written == text, (len(board), max_len)
+        assert (output.items, output.nbytes) == (facts, len(text.encode("utf-8")))
 
 
 # --- Alloy instance model

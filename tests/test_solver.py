@@ -212,14 +212,18 @@ def test_a_repeated_rule_reads_the_table_of_its_rule_set(demo_board):
         ({"semantics": "labeled"}, "semantics must be a Semantics member, got 'labeled'"),
         ({"rules": ["icu-ch12"]}, r"rules must be a tuple of rule names, got \['icu-ch12'\]"),
         ({"rules": ("nope",)}, "unknown eligibility rule 'nope'"),
+        ({"rules": (["icu-ch12"],)}, r"rule names must be strings, got \['icu-ch12'\]"),
+        ({"rules": ("icu-ch12", 12)}, "rule names must be strings, got 12"),
         ({"enumeration_cap": "5"}, "enumeration cap must be an integer, got '5'"),
     ],
-    ids=["semantics-string", "rules-list", "unknown-rule", "cap-string"],
+    ids=["semantics-string", "rules-list", "unknown-rule", "rule-name-list", "rule-name-int",
+         "cap-string"],
 )
 def test_solve_options_refuse_bad_fields_when_built(fields, message):
-    """A string semantics would stream as pin sets, a list of rules would not
-    hash and a string cap would raise TypeError at the first comparison, so
-    each is refused before any solve, as is an unknown rule."""
+    """A string semantics would stream as pin sets, a list of rules or a list
+    as a rule name would not hash and a string cap would raise TypeError at
+    the first comparison, so each is refused before any solve, as are an
+    unknown rule and a rule name that is not a string."""
     with pytest.raises(ValueError, match=message):
         SolveOptions(**fields)
 
