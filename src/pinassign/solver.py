@@ -27,7 +27,9 @@ every pin it reached dead at its node, so the node skips those candidates
 without a search and blocks them in its later repairs. A labeled search
 therefore opens no node without a solution below it, and find_feasible is
 its first solution. When the initial matching fails, the infeasibility
-witness is read from the pins that failed search blocked.
+witness is read off that failed search: the pins it blocked and the kinds
+of the slots holding them. check_witness checks a witness against _witness,
+which recomputes it from the eligibility table alone.
 find_best runs the same search on the instance _prepare builds by_cost: a
 minimum-cost matching, inserted in the same loop one cost level at a time,
 cheapest first (the only matching a solve builds), candidates cut to the
@@ -39,8 +41,9 @@ before any search.
 
 _Problem.elig is an instance's one eligibility table: each requested kind
 -> its eligible pins in declaration order -> the detail a Binding on that
-pin reports, the smallest eligible one. Candidate lists, witnesses, the
-by-cost levels and Bindings are all read from it. It is read from the
+pin reports, the smallest eligible one. The candidate lists are the
+table's tuples of those pins; the by-cost levels, Bindings and the
+witnesses _witness recomputes are read from it. It is read from the
 _Table this module builds for the Board and the solve's rule set on the
 Board's first solve under that set, kept in the Board (Board._tables) and
 shared, never written, by every later solve under the same set, so such a
@@ -56,10 +59,11 @@ the request's.
 
 Eligibility rules are names, keys of RULES_BY_NAME, so options holding them
 are plain values. A rule restricts one kind to the entries whose detail
-matches its pattern. This module names, validates and applies them: a
-solve keys its table on the rule set, the sorted distinct names, so their
-order and repeats do not matter, and _build_table applies the set in its
-one pass over the Board's entries.
+matches its pattern. This module names, validates and applies them:
+SolveOptions keeps the rule set as the sorted distinct names, so their
+order and repeats do not matter, a solve keys its table on that tuple as
+it is, and _build_table applies the set in its one pass over the Board's
+entries.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
@@ -265,9 +269,10 @@ class _Problem(dict):
     pins' indices in declaration order -> the detail a Binding on that pin
     reports, the smallest eligible one. options lists each slot's candidate
     pins, one tuple per kind, shared by every slot of that kind. Both are
-    read from the Board's _Table for the rule set, the sorted distinct rule
-    names, built on the first solve under that set and shared, never
-    written, by every later one.
+    read from the Board's _Table for the rule set, built on the first solve
+    under that set and shared, never written, by every later one. The rule
+    set comes normalized, the sorted distinct names as SolveOptions.rules
+    keeps them, and is the table's key as it is.
 
     As a dict, a _Problem maps (slot, pin index) to that slot's Binding on
     that pin, built on first lookup. Streamed assignments share these frozen
@@ -282,8 +287,7 @@ class _Problem(dict):
     # _augment call made each verdict 3-12% slower.
     __slots__ = ("board", "slots", "length", "costs", "ids", "elig", "options")
 
-    def __init__(self, board: Board, request: Request, rules: Iterable[str]):
-        rules = tuple(sorted(set(rules)))
+    def __init__(self, board: Board, request: Request, rules: tuple[str, ...]):
         tables = board._tables
         if rules not in tables:
             tables[rules] = _build_table(board, rule_patterns(rules))
@@ -291,14 +295,9 @@ class _Problem(dict):
         self.board = board
         self.slots = slots = request.canonical
         self.length = len(slots)
-        elig = {}
-        picks = {}
-        for kind in sorted(set(slots)):
-            elig[kind] = offers.get(kind) or {}
-            picks[kind] = candidates.get(kind, ())
-        self.elig = elig
+        self.elig = {kind: offers.get(kind) or {} for kind in dict.fromkeys(slots)}
         # Candidate pins per slot, read by _augment and _iter_bindings.
-        self.options = [picks[kind] for kind in slots]
+        self.options = [candidates.get(kind, ()) for kind in slots]
 
     def __missing__(self, key: tuple[int, int]) -> Binding:
         slot, p = key
@@ -342,7 +341,10 @@ def _augment(problem: _Problem, slot: int, owner: list[int], blocked: set[int]) 
 
 
 def _witness(problem: _Problem, kinds: tuple[str, ...]) -> Witness:
-    """The given kinds with every pin eligible for one and their total demand."""
+    """The given kinds with every pin eligible for one and their total demand,
+    recomputed from the eligibility table: check_witness's reference for a
+    witness _prepare read off its failed search, and the witness of a kind
+    no pin supports."""
     wanted = set(kinds)
     support = sorted({p for k in wanted for p in problem.elig[k]})
     return Witness(
@@ -362,9 +364,12 @@ def check_witness(
 
     Valid iff the witness pins are exactly the pins eligible for some witness
     kind (under the same rules, any sequence of rule names) and the request
-    demands more occurrences of those kinds than there are such pins.
+    demands more occurrences of those kinds than there are such pins. The
+    names are read through SolveOptions, so a name that is not a known rule,
+    a string or not, raises its ValueError. The check recomputes the witness
+    from the Board's eligibility table (_witness), not from a search.
     """
-    problem = _Problem(board, request, rules)
+    problem = _Problem(board, request, SolveOptions(rules=tuple(rules)).rules)
     if not set(witness.kinds) <= problem.elig.keys():
         return False
     return witness == _witness(problem, witness.kinds) and witness.demanded > len(witness.pins)
@@ -416,7 +421,13 @@ def _prepare(
     visited exactly the pins reachable from it by alternating paths, all
     matched, and every eligible pin of it and of their owners lies among
     them: those slots' kinds demand more pins than support them (Hall's
-    condition fails), which is the witness.
+    condition fails), which is the witness. It is read off the search:
+    its kinds are the slot's and its blocked pins' holders', and its pins
+    are the blocked ones, since each reached slot tried its whole candidate
+    list and the slots of one kind share one list, so they are every pin
+    eligible for those kinds (what _witness recomputes and check_witness
+    checks). The Witness and the Infeasible skip the dataclass __init__,
+    as a Binding does.
 
     By_cost, the instance returned is the cheapest search: the candidate
     lists are cut to the levels the matching uses, and owner gains one
@@ -461,14 +472,25 @@ def _prepare(
             elif dearer:
                 left.append(slot)
             else:
-                reached = {slot} | {owner[p] for p in blocked}
-                witness = _witness(problem, tuple(sorted({problem.slots[s] for s in reached})))
-                return Infeasible(
-                    REASON_PIGEONHOLE,
-                    f"{witness.demanded} slots of kinds {{{', '.join(witness.kinds)}}} "
-                    f"compete for {len(witness.pins)} eligible pins",
-                    witness,
+                slots = problem.slots
+                wanted = {slots[slot], *[slots[owner[p]] for p in blocked]}
+                kinds = (*sorted(wanted),)
+                # Witness(kinds, pins, demanded) and Infeasible(reason,
+                # message, witness) without their __init__.
+                witness = object.__new__(Witness)
+                fields = witness.__dict__
+                fields["kinds"] = kinds
+                fields["pins"] = (*map(problem.ids.__getitem__, sorted(blocked)),)
+                fields["demanded"] = demanded = sum(map(wanted.__contains__, slots))
+                outcome = object.__new__(Infeasible)
+                fields = outcome.__dict__
+                fields["reason"] = REASON_PIGEONHOLE
+                fields["message"] = (
+                    f"{demanded} slots of kinds {{{', '.join(kinds)}}} "
+                    f"compete for {len(blocked)} eligible pins"
                 )
+                fields["witness"] = witness
+                return outcome
         waiting = left
     if by_cost:
         kept = {costs[p] for p in pins if owner[p] != _FREE}  # the levels the matching uses

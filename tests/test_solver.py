@@ -13,6 +13,7 @@ import sys
 import tracemalloc
 import warnings
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from pinassign import (
     Request,
     Semantics,
     SolveOptions,
+    Witness,
     check_witness,
     enumerate_all,
     extend_assignment,
@@ -156,6 +158,10 @@ def test_unknown_rule_name_is_refused(two_pin_board):
     outcome = find_feasible(two_pin_board, parse_request("icu,icu,icu"))
     with pytest.raises(ValueError, match="unknown eligibility rule"):
         check_witness(two_pin_board, request, outcome.witness, rules=("ICU-CH12",))
+    # Names that are not strings, hashable or not, mixed with a known one.
+    for rules in (["icu-ch12", 3], [["icu-ch12"]]):
+        with pytest.raises(ValueError, match="rule names must be strings"):
+            check_witness(two_pin_board, request, outcome.witness, rules)
     # Refused before the Board caches a table for them.
     assert set(two_pin_board._tables) == {()}
 
@@ -481,20 +487,31 @@ def test_removing_a_rule_preserves_feasibility():
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
-def test_every_infeasible_witness_validates():
-    seen = 0
-    for board, request in instance_family(seed=21, count=120):
-        outcome = find_feasible(board, request)
-        if isinstance(outcome, Infeasible):
-            assert outcome.witness is not None
-            assert check_witness(board, request, outcome.witness)
-            seen += 1
-    assert seen >= 10  # the family must actually exercise infeasibility
+@pytest.mark.parametrize("seed", [2024, 7, 11])
+def test_every_infeasible_witness_validates(seed):
+    """The witness _prepare reads off its failed search, by find_feasible
+    and by find_best's last cost level, under both rule sets, is the one
+    _witness recomputes from the eligibility table, and check_witness
+    accepts it."""
+    seen = Counter()
+    for board, request in instance_family(seed=seed, count=400):
+        for rules in RULE_SETS:
+            for solve in (find_feasible, find_best):
+                outcome = solve(board, request, SolveOptions(rules=rules))
+                if not isinstance(outcome, Infeasible):
+                    continue
+                witness = outcome.witness
+                assert check_witness(board, request, witness, rules), (board, request, rules)
+                assert witness == solver._witness(_Problem(board, request, rules), witness.kinds)
+                seen[outcome.reason, rules, len(witness.kinds) > 1] += 1
+    # The family must exercise both reasons, and under both rule sets
+    # pigeonholes whose search reached slots of more than one kind.
+    assert seen[solver.REASON_KIND_UNSUPPORTED, (), False] >= 10
+    for rules in RULE_SETS:
+        assert seen[solver.REASON_PIGEONHOLE, rules, True] >= 20
 
 
 def test_check_witness_rejects_bogus_witness(two_pin_board):
-    from pinassign import Witness
-
     request = parse_request("analog,analog,analog,serial-tx")
     for valid in (
         Witness(("ANALOG",), ("PA1", "PA2"), 3),
@@ -1071,6 +1088,52 @@ def _assert_constructed_alike(assignments) -> int:
             a.total_cost = 0
         count += len(chunk)
     return count
+
+
+def _assert_infeasible_constructed_alike(outcome):
+    """Check that an Infeasible and its Witness are indistinguishable from
+    the ones the constructors build out of their fields: type, equality,
+    hash, repr, the instance dict's items in order, asdict, replace, a
+    pickle round trip and frozenness."""
+    w = outcome.witness
+    witness = Witness(w.kinds, w.pins, w.demanded)
+    built = Infeasible(outcome.reason, outcome.message, witness)
+    for a, b in ((w, witness), (outcome, built)):
+        assert type(a) is type(b) and a == b
+        assert hash(a) == hash(b) and repr(a) == repr(b)
+        assert list(vars(a).items()) == list(vars(b).items())
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        copy = pickle.loads(pickle.dumps(a))
+        assert type(copy) is type(b) and copy == b
+        assert list(vars(copy).items()) == list(vars(b).items())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, dataclasses.fields(a)[0].name, None)
+    more = dataclasses.replace(w, demanded=w.demanded + 1)
+    assert more == Witness(w.kinds, w.pins, w.demanded + 1) != w
+    other = dataclasses.replace(outcome, message="")
+    assert other == Infeasible(outcome.reason, "", witness) != outcome
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_infeasible_answers_are_indistinguishable_from_constructed_ones(demo_board):
+    """A pigeonhole answer's Infeasible and Witness are built without the
+    dataclass __init__; nothing a caller can observe may tell them from
+    ones the constructors build. Every infeasible prefix of the demo's
+    CAN_TX request and the seeded family's pigeonholes, through
+    find_feasible and find_best, under both rule sets."""
+    questions = [
+        (demo_board, parse_request(",".join(["can-tx"] * length))) for length in range(4, 11)
+    ]
+    questions += instance_family(seed=2024, count=400)
+    checked = 0
+    for board, request in questions:
+        for rules in RULE_SETS:
+            for solve in (find_feasible, find_best):
+                outcome = solve(board, request, SolveOptions(rules=rules))
+                if isinstance(outcome, Infeasible) and outcome.reason == solver.REASON_PIGEONHOLE:
+                    _assert_infeasible_constructed_alike(outcome)
+                    checked += 1
+    assert checked >= 400
 
 
 # The mixed request's prefixes hold demo-table's 260,016 labeled solutions.
