@@ -24,7 +24,13 @@ class RequestParseError(ValueError):
 
 @dataclass(frozen=True)
 class Request:
-    """A multiset of requested function kinds."""
+    """A multiset of requested function kinds.
+
+    canonical is the same multiset sorted by kind name (duplicates
+    preserved). It is sorted once, when the Request is built, and kept
+    outside the fields, so equality, hash, repr and asdict ignore it, and
+    dataclasses.replace sorts the new slots anew.
+    """
 
     slots: tuple[str, ...]
 
@@ -32,11 +38,7 @@ class Request:
         for kind in self.slots:
             if not CANONICAL_KIND_RE.match(kind):
                 raise ValueError(f"kind {kind!r} is not canonical")
-
-    @property
-    def canonical(self) -> tuple[str, ...]:
-        """The same multiset, sorted by kind name (duplicates preserved)."""
-        return tuple(sorted(self.slots))
+        object.__setattr__(self, "canonical", tuple(sorted(self.slots)))
 
     @property
     def length(self) -> int:

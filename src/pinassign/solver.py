@@ -18,9 +18,13 @@ used pins, namely the smallest binding realizing that set.
 
 iter_assignments is a depth-first search over one kept matching of all
 slots: _prepare builds it, and a bind that takes a pin another slot holds
-either repairs it with one augmenting path (_augment, the only
-augmenting-path routine) or skips that pin. Both read each slot's candidate
-pins from _Problem.options, where the slots of one kind share one list.
+either repairs it with one augmenting path or skips that pin. The repair
+first gives the displaced slot the pin the bind freed, when that slot can
+take it: a path of one step, which any augmenting-path search would also
+have found, so only the matching kept changes, never an answer. Otherwise
+it runs _augment, the only augmenting-path routine. Both read each slot's
+candidate pins from _Problem.options, where the slots of one kind share one
+list.
 _augment keeps one set of blocked pins: those the caller rules out (a
 repair's bound pins) and every pin it has tried. A failed repair proves
 every pin it reached dead at its node, so the node skips those candidates
@@ -67,10 +71,11 @@ entries.
 
 The enumerator is a single loop over an explicit stack, so its own depth is
 not bounded by Python's recursion limit (_augment still recurses along each
-path). It yields Assignments built incrementally: beside the chosen pins it
-keeps the bound slots' Bindings and their running cost, so each solution
-costs one Binding lookup, one addition, one tuple and one Assignment, built
-without the dataclass __init__ at half the constructor's cost. Streamed
+path, in _prepare's insertions and in the repairs that run it). It yields
+Assignments built incrementally: beside the chosen pins it keeps the bound
+slots' Bindings and their running cost, so each solution costs one Binding
+lookup, one addition, one tuple and one Assignment, built without the
+dataclass __init__ at half the constructor's cost. Streamed
 Assignments share their frozen Binding objects: each solve builds at most one
 Binding per (slot, pin), on first use and also without the dataclass
 __init__. A labeled stream walks the subtree below a run of equal-kind slots
@@ -532,6 +537,20 @@ def _iter_bindings(
     So every opened node has a solution below it in labeled mode, and the
     first assignment yielded is the lexicographically smallest solution.
 
+    Before that _augment, j takes i's freed pin m if m is among j's
+    candidates (for a spare, its cost level's pins), and the bind runs no
+    search. This is exact: m is free, it is not p, no slot above holds it,
+    and it is never among the node's dead pins (see below). A pin i holds
+    was not dead when i took it, and every later failed repair at the node
+    ran with that pin free, so did not reach it. So j -> m is an augmenting
+    path that avoids every pin _augment(j, ...) would block, and that search
+    would have succeeded too. Only the matching owner keeps differs; which
+    candidates succeed or fail, the dead pins, the solutions and their order
+    do not (the slots a failed repair reaches need every pin it reached, so
+    any matching reaches the same ones). On a board where every pin offers
+    every requested kind, every bind of the first descent is such a step,
+    so find_feasible there runs no search beyond _prepare's.
+
     A failed repair proves more than that p is dead. Say the repair from j,
     with p and the chosen pins blocked, reached the pins R. All of them are
     matched, none is free, and i's pin, freed for the repair, is not among
@@ -696,8 +715,12 @@ def _iter_bindings(
                 owner[mine] = _FREE
                 if held == _FREE:
                     break
-                # Find the displaced slot another pin, or undo, skip p and
-                # keep what the failure reached as the node's dead pins.
+                # The displaced slot takes the pin the bind freed, if it can.
+                if mine in options[held]:
+                    owner[mine] = held
+                    break
+                # Else find it another pin, or undo, skip p and keep what
+                # the failure reached as the node's dead pins.
                 tried = {p, *chosen, *dead}
                 if _augment(problem, held, owner, tried):
                     break

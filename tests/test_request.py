@@ -1,5 +1,8 @@
 """Request parsing, canonicalization, and the quick-reject filter."""
 
+import copy as copy_module
+import dataclasses
+import pickle
 import random
 from collections import Counter
 
@@ -75,6 +78,33 @@ def test_canonicalize_idempotent_and_multiset_preserving(kinds):
     once = Request(request.canonical)
     assert Request(once.canonical) == once
     assert sorted(once.slots) == sorted(request.slots)
+
+
+def test_canonical_is_kept_outside_the_fields():
+    """canonical is sorted once, when the Request is built, and read back
+    as that tuple. It is no field: two orderings of one multiset stay
+    unequal, hash, repr, asdict and fields read the slots alone, and a
+    pickle, a copy and dataclasses.replace each give a Request whose
+    canonical is that of its own slots."""
+    request = Request(("ICU", "ANALOG", "ICU"))
+    other = Request(("ANALOG", "ICU", "ICU"))
+    assert request.canonical == other.canonical == ("ANALOG", "ICU", "ICU")
+    assert request.canonical is request.canonical
+    assert request != other and request == Request(("ICU", "ANALOG", "ICU"))
+    assert hash(request) == hash((("ICU", "ANALOG", "ICU"),))  # its fields, as a tuple
+    assert repr(request) == "Request(slots=('ICU', 'ANALOG', 'ICU'))"
+    assert dataclasses.asdict(request) == {"slots": ("ICU", "ANALOG", "ICU")}
+    assert [f.name for f in dataclasses.fields(Request)] == ["slots"]
+    for copy in (pickle.loads(pickle.dumps(request)), copy_module.copy(request)):
+        assert type(copy) is Request and copy == request and hash(copy) == hash(request)
+        assert copy.canonical == request.canonical
+    shorter = dataclasses.replace(request, slots=("PWM", "ANALOG"))
+    assert shorter == Request(("PWM", "ANALOG"))
+    assert shorter.canonical == ("ANALOG", "PWM")
+    with pytest.raises(ValueError, match="is not canonical"):
+        dataclasses.replace(request, slots=("pwm",))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        request.canonical = ()
 
 
 def test_quick_reject_absent_kind(two_pin_board):

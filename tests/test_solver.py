@@ -583,16 +583,19 @@ def _count_augments(monkeypatch, limit: int | None = None) -> list[int]:
 
 @pytest.mark.parametrize(
     "options, solutions, calls",
-    [(SolveOptions(), 588, 175), (LABELED, 136_800, 421)],
+    [(SolveOptions(), 588, 74), (LABELED, 136_800, 79)],
     ids=["pinsets", "labeled"],
 )
 def test_enumeration_pruning_call_counts(demo_board, monkeypatch, options, solutions, calls):
     """The kept matching's repairs, counted on the demo board's 10-slot mixed
     request, _prepare's matching included. The counts pin today's pruning
-    exactly: a change to the prunes (a weaker one is still sound, so no output
-    changes) must update them. The labeled search walks the slots below the
-    five ANALOG ones once per set of pins those take and replays them for
-    the other orderings (9,334 calls when it walked all 120)."""
+    exactly: a change to the prunes or to the repairs (a weaker one is still
+    sound, so no output changes) must update them. A slot a bind displaces
+    takes the pin the bind freed when it can, without a search (175 and 421
+    calls when every displaced slot ran _augment). The labeled search walks
+    the slots below the five ANALOG ones once per set of pins those take and
+    replays them for the other orderings (3,644 calls when it walked all
+    120)."""
     count = _count_augments(monkeypatch)
     request = parse_request(
         "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
@@ -623,10 +626,12 @@ def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
     """ICU, PWM and SERIAL_TX each have four pins, but once the ANALOG slots
     take P0 and P1 the three kinds share two. No single kind is short, so only
     a matching sees it; a search without that prune walks every placement of
-    the ANALOG slots on the Q pins (seconds, doubling with each Q pin). A
-    node's first failed repair marks the pins it reached dead there, and the
-    node skips them without another search (102 calls when each such
-    candidate ran its own failed repair)."""
+    the ANALOG slots on the Q pins (seconds, doubling with each Q pin). The
+    first solution takes 69 calls (87 when every displaced slot ran
+    _augment instead of taking the pin its bind freed). A node's first
+    failed repair marks the pins it reached dead there, and the node skips
+    them without another search: find_best makes 67 calls (95 when each such
+    candidate ran its own failed repair, 92 without the freed-pin step)."""
     text = (
         "pin P0 = ANALOG, ICU, PWM, SERIAL_TX\n"
         "pin P1 = ANALOG, ICU, PWM, SERIAL_TX\n"
@@ -637,11 +642,18 @@ def test_enumeration_prunes_a_deficient_kind_union(monkeypatch):
     request = parse_request(",".join(["analog"] * 7 + ["icu", "pwm", "serial-tx"]))
     count = _count_augments(monkeypatch)
     first = next(iter_assignments(board, request, LABELED))
-    assert count[0] == 87
+    assert count[0] == 69
     assert [b.pin for b in first.bindings] == [
         "P0", "Q0", "Q1", "Q2", "Q3", "Q4", "Q5", "P1", "P2", "P3",
     ]
     assert first == find_feasible(board, request)
+    count[0] = 0
+    best = find_best(board, request)
+    assert count[0] == 67
+    assert [b.pin for b in best.bindings] == [
+        "Q0", "Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "P0", "P2", "P3",
+    ]
+    assert best.total_cost == 17
 
 
 def _planted_instance(rng, n_pins, length):
@@ -667,12 +679,14 @@ def test_best_search_call_count(monkeypatch):
     make each repair see the cost bound, so no open node lacks a
     minimum-cost solution below it; without them the search still ends on
     this answer, but only after millions of calls. A node skips the pins its
-    failed repairs reached without another search (237 calls when each such
-    candidate ran its own repair). The count pins today's search exactly."""
+    failed repairs reached without another search (164 calls when each such
+    candidate ran its own repair), and a displaced slot takes the pin its
+    bind freed when it can (171 calls when every one ran _augment). The
+    count pins today's search exactly."""
     board, request = _planted_instance(random.Random(7), 64, 24)
     count = _count_augments(monkeypatch, limit=10_000)
     best = find_best(board, request)
-    assert count[0] == 171
+    assert count[0] == 126
     assert best.total_cost == 38
     assert [b.pin for b in best.bindings] == [
         "P20", "P23", "P51", "P54", "P1", "P14", "P35", "P18", "P28", "P32", "P34", "P44",
@@ -684,12 +698,14 @@ def test_best_search_skips_what_its_failed_repairs_proved(monkeypatch):
     """find_best's _augment calls on one 512x128 board, its matching
     included. Most failed repairs there would re-prove, at the same node, a
     Hall deficiency an earlier failure at that node found; skipping the pins
-    that failure reached takes the calls from 19,642 to 6,135. The limit
-    ends a search that lost the skip at once."""
+    that failure reached takes the calls from 15,484 to 4,074 (from 19,642
+    to 6,135 when every displaced slot runs _augment instead of first
+    taking the pin its bind freed). The limit ends a search that lost the
+    skip at once."""
     board, request = _planted_instance(random.Random(7), 512, 128)
     count = _count_augments(monkeypatch, limit=10_000)
     best = find_best(board, request)
-    assert count[0] == 6_135
+    assert count[0] == 4_074
     assert best.total_cost == 176
 
 
@@ -751,6 +767,84 @@ def test_best_search_does_not_recurse_once_per_spare():
     best = find_best(board, parse_request("analog,analog"))
     assert [b.pin for b in best.bindings] == ["P0", "Q"]
     assert best.total_cost == 3
+
+
+@pytest.mark.parametrize("n_pins, length", [(80, 60), (400, 300)])
+def test_deep_uniform_descent_runs_no_repair(monkeypatch, n_pins, length):
+    """Every pin offers ANALOG and ICU and the slots alternate, so _prepare's
+    matching puts slot j on pin length-1-j, after chains of up to length
+    steps: length(length+1)/2 _augment calls. Each bind of the first descent
+    then displaces a slot that takes the pin the bind freed, so
+    find_feasible makes no other call (the search made 1,770 and 44,850
+    more when every displaced slot ran _augment)."""
+    pins = tuple(
+        Pin(f"P{j}", (FunctionEntry("ANALOG", f"ADC{j}"), FunctionEntry("ICU", f"TIM{j}")))
+        for j in range(n_pins)
+    )
+    board = Board(pins, f"uniform-{n_pins}")
+    request = Request(tuple(("ANALOG", "ICU")[j % 2] for j in range(length)))
+    count = _count_augments(monkeypatch)
+    assert not isinstance(solver._prepare(board, request, SolveOptions()), Infeasible)
+    assert count[0] == length * (length + 1) // 2
+    count[0] = 0
+    first = find_feasible(board, request)
+    assert count[0] == length * (length + 1) // 2
+    assert [b.pin for b in first.bindings] == [f"P{j}" for j in range(length)]
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_a_spare_takes_the_pin_its_bind_freed(monkeypatch):
+    """P3 (cost 1) serves the PWM slot, and the cost-3 level's free pin, P2,
+    goes to a spare slot. The ANALOG slot's first candidate, P1, is the ICU
+    slot's, which takes the ANALOG slot's freed P4; the ICU slot's next
+    candidate, P2, is the spare's, which takes P4 in turn. Neither bind
+    runs a repair: find_best makes only _prepare's 6 _augment calls (8 when
+    a displaced slot ran _augment), and its answer is the oracle's."""
+    board = parse_board(
+        "pin P0 = CAN_TX\npin P1 = PWM, ICU, ANALOG\npin P2 = CAN_TX, ICU, PWM\n"
+        "pin P3 = PWM\npin P4 = ICU, PWM, ANALOG\n"
+    )
+    request = parse_request("pwm,icu,analog")
+    truth = brute_force_solve(board, request)
+    count = _count_augments(monkeypatch)
+    best = find_best(board, request)
+    assert count[0] == 6
+    assert [b.pin for b in best.bindings] == ["P1", "P2", "P3"] and best.total_cost == 7
+    assert plain_bindings(best) == truth.labeled[truth.costs.index(truth.min_cost)]
+    problem, owner = solver._prepare(board, request, LABELED, by_cost=True)
+    spare = problem.length
+    assert owner.index(spare) == 2 and owner[4] == 0
+    repairs = _search_repairs(monkeypatch)
+    next(solver._iter_bindings(problem, owner, Semantics.LABELED))
+    assert repairs == [] and owner.index(spare) == 4
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+@pytest.mark.parametrize("seed", [2024, 7, 11])
+def test_seeded_family_equals_the_oracle(seed):
+    """On the seeded family, under both rule sets, both streams,
+    find_feasible and find_best equal oracle.brute_force_solve's answers,
+    and without a rule find_best equals both test-side references."""
+    feasible = 0
+    for board, request in instance_family(seed=seed, count=400):
+        for rules in RULE_SETS:
+            truth = brute_force_solve(board, request, rules)
+            labeled = SolveOptions(semantics=Semantics.LABELED, rules=rules)
+            assert _solve_all_plain(board, request, labeled) == list(truth.labeled)
+            pinsets = SolveOptions(rules=rules)
+            assert _solve_all_plain(board, request, pinsets) == list(truth.representatives)
+            first, best = find_feasible(board, request, pinsets), find_best(board, request, pinsets)
+            if truth.min_cost is None:
+                assert isinstance(first, Infeasible) and isinstance(best, Infeasible)
+                continue
+            feasible += 1
+            assert plain_bindings(first) == truth.labeled[0], (board, request, rules)
+            assert plain_bindings(best) == truth.labeled[truth.costs.index(truth.min_cost)]
+            assert best.total_cost == truth.min_cost
+            if not rules:
+                assert best_by_threshold(board, request) == best
+                assert best_by_enumeration(board, request) == best
+    assert feasible >= 400
 
 
 def _checked_leaves(board, request, options, by_cost, limit=None) -> int:
