@@ -38,10 +38,10 @@ find_best runs the same search on the instance _prepare builds by_cost: a
 minimum-cost matching, inserted in the same loop one cost level at a time,
 cheapest first (the only matching a solve builds), candidates cut to the
 levels it uses, and spare slots, matched but never bound, holding the pins
-a minimum-cost assignment leaves free. Its first labeled solution of that
-cost is the answer. quick_reject reads the eligibility table
-(_Problem.elig) to reject a request some kind of which has too few pins,
-before any search.
+a minimum-cost assignment leaves free. Every solution of that search costs
+the minimum, so its first labeled one is the answer. quick_reject reads
+the eligibility table (_Problem.elig) to reject a request some kind of
+which has too few pins, before any search.
 
 _Problem.elig is an instance's one eligibility table: each requested kind
 -> its eligible pins in declaration order -> the detail a Binding on that
@@ -99,6 +99,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .board import Board
@@ -537,6 +538,17 @@ def _iter_bindings(
     So every opened node has a solution below it in labeled mode, and the
     first assignment yielded is the lexicographically smallest solution.
 
+    The last slot's node runs no repair: it yields a candidate not taken
+    above when the candidate is its slot's own pin, is free, or is held by a
+    slot that lists its slot's pin among its candidates. Every other slot is
+    bound there, so that holder is a spare, and the test is the whole
+    repair: the spare cannot search on from another spare's pin (_augment),
+    the request's other pins are taken, and the slot's pin is the only free
+    one, since the spares and the request's slots fill every pin of the
+    cost levels in use. So every leaf of the cheapest search is a
+    minimum-cost assignment. A plain instance has no spares, and its last
+    slot takes every candidate not taken above.
+
     Before that _augment, j takes i's freed pin m if m is among j's
     candidates (for a spare, its cost level's pins), and the bind runs no
     search. This is exact: m is free, it is not p, no slot above holds it,
@@ -600,8 +612,12 @@ def _iter_bindings(
     the pins taken above it: a candidate is skipped when a slot above holds
     it, and a repair succeeds when the unbound slots (spares included) can
     still be matched around the taken pins, whichever matching owner holds;
-    the last slot, yielded without a repair, takes every candidate not taken
-    above. So a run end, a node j < last whose slots j-2 and j-1 share a kind
+    the last slot takes every candidate not taken above that its test
+    accepts: all of them on a plain instance, and on the cheapest one
+    those of one cost level, which the taken pins fix: every minimum-cost
+    assignment uses as many pins of each cost as any other, so the taken
+    pins leave the last slot exactly one pin to take, of a known
+    cost. So a run end, a node j < last whose slots j-2 and j-1 share a kind
     that slot j lacks, is reached once for each ordering of that run's pins,
     r! times for a run of r slots, with the same solutions below. The first
     time a taken set reaches it with the memo on, its leaves are recorded as
@@ -665,7 +681,10 @@ def _iter_bindings(
         if i == last:
             prefix = tuple(bound)
             for p in options[i]:
-                if p > floor and owner[p] >= i:
+                held = owner[p]
+                if p > floor and held >= i and (
+                    held == i or held == _FREE or owner.index(i) in options[held]
+                ):
                     if distinct_sets:
                         key = frozenset((*chosen, p))
                         if key in seen:
@@ -782,11 +801,10 @@ def enumerate_all(
     prepared = _prepare(board, request, options)
     if isinstance(prepared, Infeasible):
         return []
-    out: list[Assignment] = []
-    for assignment in _iter_bindings(*prepared, options.semantics):
-        if len(out) >= options.enumeration_cap:
-            raise EnumerationLimitError(options.enumeration_cap)
-        out.append(assignment)
+    cap = options.enumeration_cap
+    out = list(islice(_iter_bindings(*prepared, options.semantics), cap + 1))
+    if len(out) > cap:
+        raise EnumerationLimitError(cap)
     return out
 
 
@@ -798,13 +816,9 @@ def find_best(
     _prepare, asked by_cost, builds a minimum-cost matching and the search
     whose solutions are exactly the minimum-cost assignments; that matching
     also decides feasibility, so an infeasible request returns _prepare's
-    Infeasible. The answer is the first labeled solution costing as much as
-    the matching's real slots: the last slot is yielded without a repair,
-    and that filter stands in for one.
+    Infeasible. The answer is that search's first labeled solution.
     """
     prepared = _prepare(board, request, options, by_cost=True)
     if isinstance(prepared, Infeasible):
         return prepared
-    problem, owner = prepared
-    best = sum(cost for cost, slot in zip(problem.costs, owner) if slot < problem.length)
-    return next(a for a in _iter_bindings(problem, owner, Semantics.LABELED) if a.total_cost == best)
+    return next(_iter_bindings(*prepared, Semantics.LABELED))
