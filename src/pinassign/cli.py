@@ -7,12 +7,13 @@ was valid but no solution exists), 2 usage, parse, or I/O errors.
 Every subcommand but emit and graph takes --format text|json and prints
 either a text report or one structured JSON document on stdout; only the
 chosen form is built. solve-all, whose report grows with the number of
-solutions, writes it piece by piece from a stream of them, so its memory
-grows with that number only by the JSON report's costs, 8 bytes a solution
-for at most --cap + 1 of them. emit and graph write their document to
-stdout or to --out. emit refuses a flag its target does not read, and
-count --board one of the formula flags. Output is deterministic for fixed
-inputs; only bench timing fields vary between runs.
+solutions, takes its count from count_solutions and writes the report
+piece by piece from one stream of them, so its memory grows with that
+number only by the JSON report's costs, 8 bytes a solution for at most
+--cap of them. emit and graph write their document to stdout or to --out.
+emit refuses a flag its target does not read, and count a flag its mode
+does not read. Output is deterministic for fixed inputs; only bench timing
+fields vary between runs.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ import sys
 import time
 import warnings
 from array import array
-from collections.abc import Iterator
 from dataclasses import asdict
 from functools import cache
-from itertools import islice
 from pathlib import Path
 
 from .board import Board, board_stats, parse_board
@@ -48,6 +47,7 @@ from .solver import (
     Semantics,
     SolveOptions,
     SolveOutcome,
+    count_solutions,
     find_best,
     find_feasible,
     iter_assignments,
@@ -121,7 +121,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-best", parents=solving, help="find a minimum-cost assignment")
     p.set_defaults(run=_cmd_solve, solve=find_best)
 
-    p = sub.add_parser("count", parents=[fmt], help="size of the configuration space")
+    p = sub.add_parser(
+        "count", parents=[rule, fmt], help="configuration-space size, or a request's solution count"
+    )
     p.set_defaults(run=_cmd_count)
     p.add_argument("--pins", type=int, metavar="N", help="pin count (formula mode)")
     p.add_argument(
@@ -129,6 +131,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-len", type=int, metavar="L", help="longest assignment counted")
     p.add_argument("--board", metavar="FILE", help="count a concrete board instead")
+    p.add_argument("--request", metavar="LIST", help="count this request's solutions on --board")
+    p.add_argument(
+        "--semantics", choices=[s.value for s in Semantics], help="request mode; default pinsets"
+    )
 
     p = sub.add_parser("emit", help="emit a model-checking document")
     p.set_defaults(run=_cmd_emit)
@@ -181,7 +187,7 @@ def _refuse(args, flags, user: str) -> None:
     """Raise ValueError naming the first of flags given on the command line,
     since user does not read it."""
     for flag in flags:
-        if getattr(args, flag) is not None:
+        if getattr(args, flag) not in (None, []):  # [] is an unused --rule
             raise ValueError(f"{user} does not take --{flag.replace('_', '-')}")
 
 
@@ -267,37 +273,28 @@ def _cmd_solve_all(args) -> int:
     """Write every solution's report to stdout piece by piece.
 
     The report is the document of enumerate_all's list, but no list is kept:
-    the solutions are streamed once to count them, so that the count heads
-    the report and a run over --cap writes nothing, and once more to write
-    them. For JSON the first pass also keeps their costs, at most --cap + 1
-    of them in 8 bytes each, which close the report. A text piece is
-    cheaper to format than to look up, so only JSON pieces are cached: each
+    count_solutions gives the count that heads the report, so a run over
+    --cap writes nothing, and the solutions are streamed once to write
+    them. For JSON that stream also keeps their costs, at most --cap of
+    them in 8 bytes each, which close the report. A text piece is cheaper
+    to format than to look up, so only JSON pieces are cached: each
     Binding's is rendered once and reused in every solution holding it. A
     solve shares one Binding per (slot, pin), which lives as long as its
     stream, so the cache stays that small and is keyed by the Binding's id,
-    for that one stream. Each solution goes out in its own write, so memory stays that of
-    one stream, plus the costs for JSON.
+    for that one stream. Each solution goes out in its own write, so memory
+    stays that of one stream, plus the costs for JSON.
     """
     board = _read_board(args.board)
     request = parse_request(args.request)
     options = SolveOptions(Semantics(args.semantics), tuple(args.rule), args.cap)
-
-    def solutions() -> Iterator[Assignment]:
-        return iter_assignments(board, request, options)
-
     cap = options.enumeration_cap
-    head = islice(solutions(), cap + 1)
-    if args.format == "json":
-        costs = array("q", (a.total_cost for a in head))
-        count = len(costs)
-    else:
-        count = sum(1 for _ in head)
+    count = count_solutions(board, request, options)
     if count > cap:
         raise ValueError(f"more than {cap} solutions; raise --cap to list them all")
     write = sys.stdout.write
     if args.format == "text":
         write(f"{count} solutions ({args.semantics})\n")
-        for n, a in enumerate(solutions(), start=1):
+        for n, a in enumerate(iter_assignments(board, request, options), start=1):
             pins = ", ".join([f"{b.pin}:{b.kind}/{b.detail}" for b in a.bindings])
             write(f"  [{n}] cost {a.total_cost}: {pins}\n")
         return EXIT_OK if count else EXIT_INFEASIBLE
@@ -319,13 +316,16 @@ def _cmd_solve_all(args) -> int:
             fragments[id(b)] = text
         return text
 
+    costs = array("q")
+
     def assignment(a: Assignment) -> str:
+        costs.append(a.total_cost)
         if not a.bindings:
             return "    []"
         return "    [\n" + ",\n".join(map(fragment, a.bindings)) + "\n    ]"
 
     write('  "assignments": [\n')
-    _write_items(write, map(assignment, solutions()))
+    _write_items(write, map(assignment, iter_assignments(board, request, options)))
     write('\n  ],\n  "costs": [\n')
     _write_items(write, (f"    {cost}" for cost in costs))
     write("\n  ]\n}\n")
@@ -341,13 +341,24 @@ def _write_items(write, items) -> None:
 
 
 def _cmd_count(args) -> int:
-    if args.board is not None:
-        _refuse(args, ("pins", "functions", "max_len"), "count --board")
+    """Print a request's solution count (--board and --request), a board's
+    configuration space (--board) or the formula's (--pins, --functions)."""
+    if args.request is not None:
+        if args.board is None:
+            raise ValueError("count --request needs --board")
+        _refuse(args, ("pins", "functions", "max_len"), "count --request")
+        semantics = args.semantics or SolveOptions.semantics.value
+        options = SolveOptions(Semantics(semantics), tuple(args.rule))
+        count = count_solutions(_read_board(args.board), parse_request(args.request), options)
+        doc = {"mode": "request", "semantics": semantics, "count": count}
+    elif args.board is not None:
+        _refuse(args, ("pins", "functions", "max_len", "semantics", "rule"), "count --board")
         board = _read_board(args.board)
         doc = {"mode": "board", "pins": len(board), "count": config_space_board(board)}
     elif args.pins is None or args.functions is None:
         raise ValueError("count needs either --board or both --pins and --functions")
     else:
+        _refuse(args, ("semantics", "rule"), "count --pins")
         max_len = args.max_len if args.max_len is not None else args.pins
         doc = {
             "mode": "formula",
@@ -367,7 +378,8 @@ def _cmd_count(args) -> int:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    return EXIT_OK
+    # A request with no solution is infeasible, as for solve-all.
+    return EXIT_INFEASIBLE if doc["mode"] == "request" and not doc["count"] else EXIT_OK
 
 
 def _cmd_emit(args) -> int:

@@ -85,13 +85,18 @@ node's dead pins, O(request length x pins) in all whatever the number of
 solutions, plus those shared Bindings, plus a memo of the replayed suffixes
 of at most _MEMO_CELLS cells, under 1.5 MB; pin-set streaming keeps no memo
 but remembers every distinct pin set it has yielded.
+
+count_solutions counts what iter_assignments would stream without walking
+the search: after _prepare, a dynamic program over demand vectors, within
+_COUNT_CELLS cells of work, and past them the stream itself.
 """
 
 from __future__ import annotations
 
 __all__ = ["AllPinsUsedWarning", "Assignment", "Binding", "EnumerationLimitError", "Infeasible",
            "Rejection", "Semantics", "SolveOptions", "SolveOutcome", "Witness", "check_witness",
-           "enumerate_all", "find_best", "find_feasible", "iter_assignments", "quick_reject"]
+           "count_solutions", "enumerate_all", "find_best", "find_feasible", "iter_assignments",
+           "quick_reject"]
 
 import re
 import sys
@@ -100,6 +105,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
+from math import factorial
 from typing import Iterable, Iterator, NamedTuple
 
 from .board import Board
@@ -116,6 +122,11 @@ _FREE = sys.maxsize  # owner's entry for a free pin, above every slot number
 # 28,650.
 _MEMO_CELLS = 1 << 17
 _CELLS_PER_TUPLE = 20
+# count_solutions' folds work within _COUNT_CELLS cells: a labeled fold
+# charges each eligible pin every demand vector, known before it starts; a
+# pin-set fold charges each live state every vector its bitset holds, so
+# its memory stays under a few MB. Past the budget, a count streams.
+_COUNT_CELLS = 1 << 20
 
 
 class AllPinsUsedWarning(UserWarning):
@@ -785,6 +796,109 @@ def iter_assignments(
     if isinstance(prepared, Infeasible):
         return
     yield from _iter_bindings(*prepared, options.semantics)
+
+
+def count_solutions(
+    board: Board, request: Request, options: SolveOptions = SolveOptions()
+) -> int:
+    """The number of solutions iter_assignments streams, building none of them.
+
+    _prepare decides feasibility (0 when infeasible) and warns exactly as
+    iter_assignments does. A count then folds the eligible pins into
+    demand vectors, the slots each kind has filled, one mixed-radix integer
+    over the requested kinds. Both counts are #P-hard in general (a
+    permanent, and the bases of a transversal matroid), so a fold that would
+    exceed _COUNT_CELLS cells gives up, and the solutions are counted by
+    streaming them instead.
+    """
+    prepared = _prepare(board, request, options)
+    if isinstance(prepared, Infeasible):
+        return 0
+    elig = prepared[0].elig
+    demand = Counter(prepared[0].slots)
+    strides, size = {}, 1
+    for kind in elig:
+        strides[kind] = size
+        size *= demand[kind] + 1
+    types: dict[int, tuple[str, ...]] = {}  # each eligible pin's requested kinds
+    for kind, pins in elig.items():
+        for p in pins:
+            types[p] = (*types.get(p, ()), kind)
+    if options.semantics is Semantics.LABELED:
+        count = _count_labeled(types.values(), demand, strides, size)
+    else:
+        count = _count_pin_sets(Counter(types.values()), demand, strides, size)
+    if count is None:
+        return sum(1 for _ in _iter_bindings(*prepared, options.semantics))
+    return count
+
+
+def _count_labeled(types, demand: Counter, strides: dict, size: int) -> int | None:
+    """Labeled solutions: the ways to fill the demand vector with distinct
+    pins, each serving one kind it is eligible for, times prod(m_k!) for
+    the orders of each kind's slots. None when size x pins exceeds
+    _COUNT_CELLS."""
+    if size * len(types) > _COUNT_CELLS:
+        return None
+    ways = {0: 1}  # filled demand vector -> its number of ways
+    for kinds in types:
+        steps = [(strides[k], demand[k]) for k in kinds]
+        grown = ways.copy()  # the pin left unused
+        for vector, n in ways.items():
+            for stride, m in steps:
+                if vector // stride % (m + 1) < m:
+                    grown[vector + stride] = grown.get(vector + stride, 0) + n
+        ways = grown
+    count = ways.get(size - 1, 0)
+    for m in demand.values():
+        count *= factorial(m)
+    return count
+
+
+def _count_pin_sets(groups: Counter, demand: Counter, strides: dict, size: int) -> int | None:
+    """Distinct pin sets some assignment uses: each pin type (its requested
+    kinds) gives c of its n pins in C(n, c) ways. A state is the set of
+    demand vectors those pins fill exactly, one bit per vector; a pin of the
+    type adds one of its kinds, a masked shift. Vectors the remaining types
+    cannot complete are dropped. None once the live states times size
+    exceed _COUNT_CELLS."""
+    if size > _COUNT_CELLS:  # one state alone would
+        return None
+    every = (1 << size) - 1
+
+    def digits(kind: str, lo: int, hi: int) -> int:
+        """The bits of the vectors whose digit for kind lies in lo..hi-1."""
+        stride, period = strides[kind], strides[kind] * (demand[kind] + 1)
+        block = ((1 << stride * (hi - lo)) - 1) << stride * lo
+        return block * (every // ((1 << period) - 1))
+
+    open_ = {k: digits(k, 0, m) for k, m in demand.items()}  # digit below demand
+    supply = {k: sum(n for kinds, n in groups.items() if k in kinds) for k in demand}
+    reach = dict.fromkeys(demand, every)  # digit the remaining types can complete
+    states = {1: 1}  # the zero vector alone
+    for kinds, n in groups.items():
+        for k in kinds:
+            supply[k] -= n
+            reach[k] = digits(k, max(demand[k] - supply[k], 0), demand[k] + 1)
+        keep = every
+        for mask in reach.values():
+            keep &= mask
+        grown: dict[int, int] = {}
+        for state, ways in states.items():
+            for c in range(n + 1):  # ways: the state's times C(n, c)
+                if state & keep:
+                    grown[state & keep] = grown.get(state & keep, 0) + ways
+                ways = ways * (n - c) // (c + 1)
+                shifted = 0
+                for k in kinds:
+                    shifted |= (state & open_[k]) << strides[k]
+                state = shifted
+                if not state:
+                    break
+            if len(grown) * size > _COUNT_CELLS:
+                return None
+        states = grown
+    return sum(ways for state, ways in states.items() if state >> size - 1)
 
 
 def enumerate_all(

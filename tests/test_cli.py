@@ -25,8 +25,10 @@ from pinassign import (
     FunctionEntry,
     Infeasible,
     Pin,
+    Request,
     Semantics,
     SolveOptions,
+    count_solutions,
     enumerate_all,
     find_feasible,
     parse_board,
@@ -34,7 +36,7 @@ from pinassign import (
     serialize_board,
 )
 from pinassign import cli
-from pinassign.cli import run
+from pinassign.cli import bench, run
 
 from best_references import best_by_enumeration, best_by_threshold
 from conftest import DEMO_BOARD_PATH, KIND_POOL, TWO_PIN_TEXT, instance_family
@@ -110,6 +112,71 @@ def test_count_board_mode(two_pin_file, capsys):
 def test_count_needs_arguments(capsys):
     assert run(["count"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+DEMO_REQUEST = "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
+
+
+@pytest.mark.parametrize("semantics, count", [(None, 588), ("pinsets", 588), ("labeled", 136_800)])
+def test_count_request_mode(capsys, semantics, count):
+    argv = ["count", "--board", DEMO, "--request", DEMO_REQUEST]
+    if semantics:
+        argv += ["--semantics", semantics]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == f"{count}\n"
+    assert run([*argv, "--format", "json"]) == 0
+    doc = _json_out(capsys)
+    assert doc == {"mode": "request", "semantics": semantics or "pinsets", "count": count}
+
+
+def test_count_request_mode_reads_the_rules_and_exits_1_when_infeasible(tmp_path, capsys):
+    path = tmp_path / "ch3.pins"
+    path.write_text("pin PA2 = ANALOG/ADC1_IN2, ICU/TIM2_CH3\npin PA3 = ICU/TIM3_CH1\n")
+    argv = ["count", "--board", str(path), "--request", "icu", "--semantics", "labeled"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "2\n"
+    assert run([*argv, "--rule", "icu-ch12"]) == 0
+    assert capsys.readouterr().out == "1\n"
+    assert run(["count", "--board", str(path), "--request", "can-tx"]) == 1
+    assert capsys.readouterr().out == "0\n"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--board", DEMO, "--request", "icu", "--pins", "3"],
+         "count --request does not take --pins"),
+        (["--board", DEMO, "--request", "icu", "--functions", "2"],
+         "count --request does not take --functions"),
+        (["--board", DEMO, "--request", "icu", "--max-len", "0"],
+         "count --request does not take --max-len"),
+        (["--request", "icu"], "count --request needs --board"),
+        (["--board", DEMO, "--semantics", "labeled"], "count --board does not take --semantics"),
+        (["--board", DEMO, "--rule", "icu-ch12"], "count --board does not take --rule"),
+        (["--pins", "3", "--functions", "2", "--semantics", "labeled"],
+         "count --pins does not take --semantics"),
+        (["--pins", "3", "--functions", "2", "--rule", "icu-ch12"],
+         "count --pins does not take --rule"),
+    ],
+)
+def test_count_refuses_the_flags_its_mode_does_not_read(capsys, argv, error):
+    assert run(["count", *argv]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {error}\n")
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_bench_counts_equal_count_solutions(demo_board):
+    """bench still counts by enumerating (t_all times that), and its columns
+    equal count_solutions on every prefix of both demo requests."""
+    for text in (DEMO_REQUEST, ",".join(["can-tx"] * 10)):
+        request = parse_request(text)
+        for row in bench(demo_board, request, 10):
+            prefix = Request(request.slots[: row["length"]])
+            assert row["count_pinsets"] == count_solutions(demo_board, prefix), (text, row)
+            assert row["count_labeled"] == count_solutions(
+                demo_board, prefix, SolveOptions(Semantics.LABELED)
+            ), (text, row)
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
@@ -496,9 +563,9 @@ def test_solve_all_cap_is_checked_before_any_byte(fmt, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_solve_all_streams_twice(monkeypatch, capsys, fmt):
-    """One stream counts the solutions (and, for JSON, keeps their costs),
-    one writes them; the JSON costs are not streamed a third time."""
+def test_solve_all_streams_once(monkeypatch, capsys, fmt):
+    """count_solutions gives the count, and one stream writes the solutions
+    and, for JSON, keeps their costs."""
     streams = []
 
     def counted(board, request, options):
@@ -508,10 +575,14 @@ def test_solve_all_streams_twice(monkeypatch, capsys, fmt):
     solve_all = cli.iter_assignments
     monkeypatch.setattr(cli, "iter_assignments", counted)
     assert run(_solve_all_argv(DEMO, "analog,icu,pwm", "labeled", fmt)) == 0
-    assert len(streams) == 2
+    assert len(streams) == 1
+    out = capsys.readouterr().out
     if fmt == "json":
-        doc = json.loads(capsys.readouterr().out)
+        doc = json.loads(out)
         assert len(doc["costs"]) == len(doc["assignments"]) == doc["count"] == 404
+    else:
+        assert out.startswith("404 solutions (labeled)\n")
+        assert out.count("\n") == 405
 
 
 @pytest.mark.parametrize(
@@ -915,7 +986,7 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     (tmp_path / "out").mkdir()
     monkeypatch.chdir(tmp_path)
     commands = _readme_commands()
-    assert len(commands) == 21
+    assert len(commands) == 22
     documented = {}
     for line in commands:
         code = run(shlex.split(line, comments=True)[1:])
@@ -926,3 +997,4 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
             assert out.strip() == shown.group(1), line
             documented[line.partition("#")[0].strip()] = out.strip()
     assert documented["pinassign count --pins 16 --functions 20"] == "1099126862792"
+    assert [out for line, out in documented.items() if "--request" in line] == ["136800"]

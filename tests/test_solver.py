@@ -5,6 +5,7 @@ import dataclasses
 import gc
 import inspect
 import itertools
+import math
 import operator
 import pickle
 import random
@@ -32,6 +33,7 @@ from pinassign import (
     SolveOptions,
     Witness,
     check_witness,
+    count_solutions,
     enumerate_all,
     extend_assignment,
     find_best,
@@ -283,7 +285,15 @@ def test_solve_options_keep_their_rule_set(monkeypatch):
 
 @pytest.mark.parametrize(
     "solve",
-    [find_feasible, iter_assignments, enumerate_all, find_best, extend_assignment, bench],
+    [
+        find_feasible,
+        iter_assignments,
+        enumerate_all,
+        find_best,
+        extend_assignment,
+        bench,
+        count_solutions,
+    ],
     ids=lambda solve: solve.__name__,
 )
 def test_options_default_to_one_shared_value(solve):
@@ -330,8 +340,14 @@ def test_warning_fires_exactly_when_request_uses_every_pin(two_pin_board):
 
 @pytest.mark.parametrize(
     "solve",
-    [find_feasible, find_best, lambda *args: list(iter_assignments(*args)), enumerate_all],
-    ids=["find_feasible", "find_best", "iter_assignments", "enumerate_all"],
+    [
+        find_feasible,
+        find_best,
+        lambda *args: list(iter_assignments(*args)),
+        enumerate_all,
+        count_solutions,
+    ],
+    ids=["find_feasible", "find_best", "iter_assignments", "enumerate_all", "count_solutions"],
 )
 def test_all_pins_used_warning_names_the_callers_line(two_pin_board, solve):
     with pytest.warns(AllPinsUsedWarning) as record:
@@ -409,8 +425,6 @@ def test_permutation_invariance_on_family():
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
 def test_uniform_requests_obey_factorial_ratio():
-    import math
-
     rng = random.Random(16)
     checked = 0
     while checked < 25:
@@ -424,6 +438,8 @@ def test_uniform_requests_obey_factorial_ratio():
         labeled = enumerate_all(board, request, LABELED)
         pinsets = enumerate_all(board, request)
         assert len(labeled) == math.factorial(k) * len(pinsets), (board, request)
+        assert count_solutions(board, request, LABELED) == len(labeled)
+        assert count_solutions(board, request) == len(pinsets)
         checked += 1
 
 
@@ -1533,3 +1549,82 @@ def test_one_table_build_per_board(monkeypatch, demo_board, tmp_path, capsys):
     assert builds == []
     assert run(["solve", "--board", str(path), "--request", "analog,icu"]) == 0
     assert len(builds) == 1
+
+
+# --- count_solutions: dynamic programming within its budget, streaming past it
+
+
+def _streamed_count(board, request, options) -> int:
+    return sum(1 for _ in iter_assignments(board, request, options))
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+@pytest.mark.parametrize("budget", ["default", 0], ids=["folded", "streamed"])
+def test_count_solutions_equals_the_stream(demo_board, monkeypatch, budget):
+    """On every prefix of both demo requests and on the seeded family, under
+    both semantics, with and without a rule: the count is the number of
+    solutions streamed, 0 exactly when find_feasible is Infeasible. With a
+    budget of 0 cells every count but the empty request's streams."""
+    if budget == 0:
+        monkeypatch.setattr(solver, "_COUNT_CELLS", 0)
+    instances = [
+        (demo_board, parse_request(",".join(text.split(",")[:length])))
+        for text in DEMO_REQUESTS
+        for length in range(1, 11)
+    ]
+    for seed in (2024, 7, 11):
+        instances += instance_family(seed=seed, count=400)
+    infeasible = 0
+    for board, request in instances:
+        for rules in RULE_SETS:
+            outcome = find_feasible(board, request, SolveOptions(rules=rules))
+            feasible = isinstance(outcome, Assignment)
+            infeasible += not feasible
+            for semantics in Semantics:
+                options = SolveOptions(semantics, rules)
+                count = count_solutions(board, request, options)
+                assert count == _streamed_count(board, request, options), (board, request, options)
+                assert (count > 0) == feasible
+    assert infeasible > 0
+
+
+def test_count_solutions_of_the_empty_request(demo_board):
+    for board in (demo_board, Board(())):
+        for options in (SolveOptions(), LABELED):
+            assert count_solutions(board, Request(()), options) == 1
+
+
+def test_count_solutions_past_any_enumeration():
+    """120 slots of one kind on 300 pins offering it: perm(300, 120) labeled
+    maps and comb(300, 120) pin sets, which no stream could count."""
+    pins = tuple(Pin(f"P{i}", (FunctionEntry("ANALOG", f"ADC{i}"),)) for i in range(300))
+    board = Board(pins)
+    request = Request(("ANALOG",) * 120)
+    assert count_solutions(board, request) == math.comb(300, 120)
+    assert count_solutions(board, request, LABELED) == math.perm(300, 120)
+
+
+def test_pin_set_fold_gives_up_within_its_budget():
+    """Eight kinds demanded twice on 64 pins: 3**8 = 6,561 demand vectors.
+    The pin-set fold stops once its live states would hold more than
+    _COUNT_CELLS vectors, rather than growing without bound."""
+    rng = random.Random(3)
+    kinds = ["ANALOG", "ICU", "PWM", "SERIAL_TX", "SERIAL_RX", "CAN_TX", "I2C_SDA", "I2C_SCL"]
+    pins = tuple(
+        Pin(f"P{i}", tuple(FunctionEntry(k) for k in rng.sample(kinds, rng.randint(1, 4))))
+        for i in range(64)
+    )
+    problem, _ = solver._prepare(Board(pins), Request(tuple(sorted(kinds * 2))), SolveOptions())
+    demand = Counter(problem.slots)
+    strides = {kind: 3**n for n, kind in enumerate(problem.elig)}
+    groups = Counter(
+        tuple(kind for kind, elig in problem.elig.items() if p in elig)
+        for p in {p for elig in problem.elig.values() for p in elig}
+    )
+    tracemalloc.start()
+    try:
+        assert solver._count_pin_sets(groups, demand, strides, 3**8) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
