@@ -42,6 +42,7 @@ from .request import Request, parse_request
 from .solver import (
     AllPinsUsedWarning,
     Assignment,
+    EnumerationLimitError,
     Infeasible,
     RULES_BY_NAME,
     Semantics,
@@ -52,6 +53,7 @@ from .solver import (
     find_feasible,
     iter_assignments,
     quick_reject,
+    _counted_stream,
 )
 
 EXIT_OK = 0
@@ -134,6 +136,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--request", metavar="LIST", help="count this request's solutions on --board")
     p.add_argument(
         "--semantics", choices=[s.value for s in Semantics], help="request mode; default pinsets"
+    )
+    p.add_argument(
+        "--cap", type=int, metavar="N", help="request mode: most solutions a streamed count counts"
     )
 
     p = sub.add_parser("emit", help="emit a model-checking document")
@@ -273,28 +278,33 @@ def _cmd_solve_all(args) -> int:
     """Write every solution's report to stdout piece by piece.
 
     The report is the document of enumerate_all's list, but no list is kept:
-    count_solutions gives the count that heads the report, so a run over
-    --cap writes nothing, and the solutions are streamed once to write
-    them. For JSON that stream also keeps their costs, at most --cap of
-    them in 8 bytes each, which close the report. A text piece is cheaper
-    to format than to look up, so only JSON pieces are cached: each
-    Binding's is rendered once and reused in every solution holding it. A
-    solve shares one Binding per (slot, pin), which lives as long as its
-    stream, so the cache stays that small and is keyed by the Binding's id,
-    for that one stream. Each solution goes out in its own write, so memory
+    the count that heads it is count_solutions', so a run over --cap writes
+    nothing, and the solutions are streamed once to write them, both from
+    one prepared solve. A count that has to stream stops past --cap. For
+    JSON the stream also keeps their costs, at most --cap of them in 8
+    bytes each, which close the report. A text piece is cheaper to format
+    than to look up, so only JSON pieces are cached: each Binding's is
+    rendered once and reused in every solution holding it. A solve shares
+    one Binding per (slot, pin), which lives as long as its stream, so the
+    cache stays that small and is keyed by the Binding's id, for that one
+    stream. Each solution goes out in its own write, so memory
     stays that of one stream, plus the costs for JSON.
     """
     board = _read_board(args.board)
     request = parse_request(args.request)
     options = SolveOptions(Semantics(args.semantics), tuple(args.rule), args.cap)
     cap = options.enumeration_cap
-    count = count_solutions(board, request, options)
+    over = f"more than {cap} solutions; raise --cap to list them all"
+    try:
+        count, solutions = _counted_stream(board, request, options)
+    except EnumerationLimitError:  # counted by streaming, and past the cap
+        raise ValueError(over) from None
     if count > cap:
-        raise ValueError(f"more than {cap} solutions; raise --cap to list them all")
+        raise ValueError(over)
     write = sys.stdout.write
     if args.format == "text":
         write(f"{count} solutions ({args.semantics})\n")
-        for n, a in enumerate(iter_assignments(board, request, options), start=1):
+        for n, a in enumerate(solutions, start=1):
             pins = ", ".join([f"{b.pin}:{b.kind}/{b.detail}" for b in a.bindings])
             write(f"  [{n}] cost {a.total_cost}: {pins}\n")
         return EXIT_OK if count else EXIT_INFEASIBLE
@@ -325,7 +335,7 @@ def _cmd_solve_all(args) -> int:
         return "    [\n" + ",\n".join(map(fragment, a.bindings)) + "\n    ]"
 
     write('  "assignments": [\n')
-    _write_items(write, map(assignment, iter_assignments(board, request, options)))
+    _write_items(write, map(assignment, solutions))
     write('\n  ],\n  "costs": [\n')
     _write_items(write, (f"    {cost}" for cost in costs))
     write("\n  ]\n}\n")
@@ -348,17 +358,23 @@ def _cmd_count(args) -> int:
             raise ValueError("count --request needs --board")
         _refuse(args, ("pins", "functions", "max_len"), "count --request")
         semantics = args.semantics or SolveOptions.semantics.value
-        options = SolveOptions(Semantics(semantics), tuple(args.rule))
-        count = count_solutions(_read_board(args.board), parse_request(args.request), options)
+        cap = SolveOptions.enumeration_cap if args.cap is None else args.cap
+        options = SolveOptions(Semantics(semantics), tuple(args.rule), cap)
+        try:
+            count = count_solutions(_read_board(args.board), parse_request(args.request), options)
+        except EnumerationLimitError:
+            raise ValueError(
+                f"more than {cap} solutions to count by streaming; raise --cap to count them all"
+            ) from None
         doc = {"mode": "request", "semantics": semantics, "count": count}
     elif args.board is not None:
-        _refuse(args, ("pins", "functions", "max_len", "semantics", "rule"), "count --board")
+        _refuse(args, ("pins", "functions", "max_len", "semantics", "rule", "cap"), "count --board")
         board = _read_board(args.board)
         doc = {"mode": "board", "pins": len(board), "count": config_space_board(board)}
     elif args.pins is None or args.functions is None:
         raise ValueError("count needs either --board or both --pins and --functions")
     else:
-        _refuse(args, ("semantics", "rule"), "count --pins")
+        _refuse(args, ("semantics", "rule", "cap"), "count --pins")
         max_len = args.max_len if args.max_len is not None else args.pins
         doc = {
             "mode": "formula",

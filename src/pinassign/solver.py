@@ -88,7 +88,8 @@ but remembers every distinct pin set it has yielded.
 
 count_solutions counts what iter_assignments would stream without walking
 the search: after _prepare, a dynamic program over demand vectors, within
-_COUNT_CELLS cells of work, and past them the stream itself.
+_COUNT_CELLS cells of work, and past them the stream itself, stopped past
+options.enumeration_cap.
 """
 
 from __future__ import annotations
@@ -134,7 +135,8 @@ class AllPinsUsedWarning(UserWarning):
 
 
 class EnumerationLimitError(RuntimeError):
-    """Materializing all solutions would exceed the configured cap."""
+    """Materializing all solutions, or counting them by streaming, would
+    exceed the configured cap."""
 
     def __init__(self, cap: int):
         super().__init__(
@@ -809,11 +811,29 @@ def count_solutions(
     over the requested kinds. Both counts are #P-hard in general (a
     permanent, and the bases of a transversal matroid), so a fold that would
     exceed _COUNT_CELLS cells gives up, and the solutions are counted by
-    streaming them instead.
+    streaming them instead: at most options.enumeration_cap + 1 of them,
+    raising EnumerationLimitError past the cap, as enumerate_all does.
     """
     prepared = _prepare(board, request, options)
     if isinstance(prepared, Infeasible):
         return 0
+    return _count(prepared, options)
+
+
+def _counted_stream(
+    board: Board, request: Request, options: SolveOptions
+) -> tuple[int, Iterator[Assignment]]:
+    """count_solutions and iter_assignments from one _prepare: the count,
+    and a stream of the solutions it counts."""
+    prepared = _prepare(board, request, options)
+    if isinstance(prepared, Infeasible):
+        return 0, iter(())
+    return _count(prepared, options), _iter_bindings(*prepared, options.semantics)
+
+
+def _count(prepared: tuple[_Problem, list[int]], options: SolveOptions) -> int:
+    """count_solutions past _prepare. A streamed count searches from a copy
+    of the matching, so prepared still starts a stream as _prepare left it."""
     elig = prepared[0].elig
     demand = Counter(prepared[0].slots)
     strides, size = {}, 1
@@ -829,7 +849,12 @@ def count_solutions(
     else:
         count = _count_pin_sets(Counter(types.values()), demand, strides, size)
     if count is None:
-        return sum(1 for _ in _iter_bindings(*prepared, options.semantics))
+        problem, owner = prepared
+        cap = options.enumeration_cap
+        stream = _iter_bindings(problem, owner.copy(), options.semantics)
+        count = sum(1 for _ in islice(stream, cap + 1))
+        if count > cap:
+            raise EnumerationLimitError(cap)
     return count
 
 

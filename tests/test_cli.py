@@ -35,7 +35,7 @@ from pinassign import (
     parse_request,
     serialize_board,
 )
-from pinassign import cli
+from pinassign import cli, solver
 from pinassign.cli import bench, run
 
 from best_references import best_by_enumeration, best_by_threshold
@@ -141,6 +141,35 @@ def test_count_request_mode_reads_the_rules_and_exits_1_when_infeasible(tmp_path
     assert capsys.readouterr().out == "0\n"
 
 
+def _count_streamed(monkeypatch) -> list[int]:
+    """Give count_solutions no budget, so it counts by streaming, and return
+    a list holding the number of solutions streamed so far."""
+    monkeypatch.setattr(solver, "_COUNT_CELLS", 0)
+    streamed = [0]
+    iter_bindings = solver._iter_bindings
+
+    def counted(*args):
+        for a in iter_bindings(*args):
+            streamed[0] += 1
+            yield a
+
+    monkeypatch.setattr(solver, "_iter_bindings", counted)
+    return streamed
+
+
+def test_count_request_cap_bounds_a_streamed_count(monkeypatch, capsys):
+    argv = ["count", "--board", DEMO, "--request", DEMO_REQUEST, "--semantics", "labeled"]
+    streamed = _count_streamed(monkeypatch)
+    assert run([*argv, "--cap", "50"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: more than 50 solutions to count by streaming; raise --cap to count them all\n"
+    )
+    assert streamed == [51]
+    assert run([*argv, "--cap", "136800"]) == 0
+    assert capsys.readouterr().out == "136800\n"
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -153,6 +182,8 @@ def test_count_request_mode_reads_the_rules_and_exits_1_when_infeasible(tmp_path
         (["--request", "icu"], "count --request needs --board"),
         (["--board", DEMO, "--semantics", "labeled"], "count --board does not take --semantics"),
         (["--board", DEMO, "--rule", "icu-ch12"], "count --board does not take --rule"),
+        (["--board", DEMO, "--cap", "5"], "count --board does not take --cap"),
+        (["--pins", "3", "--functions", "2", "--cap", "5"], "count --pins does not take --cap"),
         (["--pins", "3", "--functions", "2", "--semantics", "labeled"],
          "count --pins does not take --semantics"),
         (["--pins", "3", "--functions", "2", "--rule", "icu-ch12"],
@@ -564,18 +595,23 @@ def test_solve_all_cap_is_checked_before_any_byte(fmt, capsys):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_solve_all_streams_once(monkeypatch, capsys, fmt):
-    """count_solutions gives the count, and one stream writes the solutions
-    and, for JSON, keeps their costs."""
-    streams = []
+    """count_solutions gives the count, and one stream of the one prepared
+    problem writes the solutions and, for JSON, keeps their costs."""
+    calls = []
 
-    def counted(board, request, options):
-        streams.append(request)
-        return solve_all(board, request, options)
+    def recorded(name):
+        original = getattr(solver, name)
 
-    solve_all = cli.iter_assignments
-    monkeypatch.setattr(cli, "iter_assignments", counted)
+        def call(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, call)
+
+    recorded("_prepare")
+    recorded("_iter_bindings")
     assert run(_solve_all_argv(DEMO, "analog,icu,pwm", "labeled", fmt)) == 0
-    assert len(streams) == 1
+    assert calls == ["_prepare", "_iter_bindings"]
     out = capsys.readouterr().out
     if fmt == "json":
         doc = json.loads(out)
@@ -583,6 +619,28 @@ def test_solve_all_streams_once(monkeypatch, capsys, fmt):
     else:
         assert out.startswith("404 solutions (labeled)\n")
         assert out.count("\n") == 405
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_solve_all_cap_bounds_a_streamed_count(monkeypatch, capsys, fmt):
+    """Past the count's budget, a run over --cap writes nothing and streams
+    cap + 1 solutions, not all 136,800; one within the cap writes the same
+    bytes as a folded count, streaming every solution twice."""
+    argv = _solve_all_argv(DEMO, "analog,icu,pwm", "labeled", fmt)
+    assert run(argv) == 0
+    full = capsys.readouterr().out
+    streamed = _count_streamed(monkeypatch)
+    assert run(argv) == 0
+    assert capsys.readouterr().out == full
+    assert streamed == [2 * 404]
+    streamed[0] = 0
+    argv = _solve_all_argv(DEMO, DEMO_REQUEST, "labeled", fmt) + ["--cap", "50"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: more than 50 solutions; raise --cap to list them all\n"
+    )
+    assert streamed == [51]
 
 
 @pytest.mark.parametrize(

@@ -1588,6 +1588,20 @@ def test_count_solutions_equals_the_stream(demo_board, monkeypatch, budget):
     assert infeasible > 0
 
 
+@pytest.mark.parametrize(
+    "semantics, count", [(Semantics.UNIQUE_PIN_SETS, 588), (Semantics.LABELED, 136_800)]
+)
+def test_a_streamed_count_stops_past_the_cap(demo_board, monkeypatch, semantics, count):
+    """Past the budget, count_solutions streams at most cap + 1 solutions
+    and raises EnumerationLimitError past the cap, as enumerate_all does."""
+    monkeypatch.setattr(solver, "_COUNT_CELLS", 0)
+    request = parse_request(DEMO_REQUESTS[0])
+    options = SolveOptions(semantics, enumeration_cap=count)
+    assert count_solutions(demo_board, request, options) == count
+    with pytest.raises(EnumerationLimitError):
+        count_solutions(demo_board, request, SolveOptions(semantics, enumeration_cap=count - 1))
+
+
 def test_count_solutions_of_the_empty_request(demo_board):
     for board in (demo_board, Board(())):
         for options in (SolveOptions(), LABELED):
@@ -1604,26 +1618,30 @@ def test_count_solutions_past_any_enumeration():
     assert count_solutions(board, request, LABELED) == math.perm(300, 120)
 
 
-def test_pin_set_fold_gives_up_within_its_budget():
+def test_pin_set_fold_gives_up_within_its_budget(monkeypatch):
     """Eight kinds demanded twice on 64 pins: 3**8 = 6,561 demand vectors.
     The pin-set fold stops once its live states would hold more than
-    _COUNT_CELLS vectors, rather than growing without bound."""
+    _COUNT_CELLS vectors, rather than growing without bound, and only then
+    does the count stream."""
     rng = random.Random(3)
     kinds = ["ANALOG", "ICU", "PWM", "SERIAL_TX", "SERIAL_RX", "CAN_TX", "I2C_SDA", "I2C_SCL"]
     pins = tuple(
         Pin(f"P{i}", tuple(FunctionEntry(k) for k in rng.sample(kinds, rng.randint(1, 4))))
         for i in range(64)
     )
-    problem, _ = solver._prepare(Board(pins), Request(tuple(sorted(kinds * 2))), SolveOptions())
-    demand = Counter(problem.slots)
-    strides = {kind: 3**n for n, kind in enumerate(problem.elig)}
-    groups = Counter(
-        tuple(kind for kind, elig in problem.elig.items() if p in elig)
-        for p in {p for elig in problem.elig.values() for p in elig}
-    )
+    board, request = Board(pins), Request(tuple(sorted(kinds * 2)))
+
+    class Streamed(Exception):
+        pass
+
+    def stream(*args):
+        raise Streamed
+
+    monkeypatch.setattr(solver, "_iter_bindings", stream)
     tracemalloc.start()
     try:
-        assert solver._count_pin_sets(groups, demand, strides, 3**8) is None
+        with pytest.raises(Streamed):
+            count_solutions(board, request)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
