@@ -7,13 +7,14 @@ was valid but no solution exists), 2 usage, parse, or I/O errors.
 Every subcommand but emit and graph takes --format text|json and prints
 either a text report or one structured JSON document on stdout; only the
 chosen form is built. solve-all, whose report grows with the number of
-solutions, takes its count from count_solutions and writes the report
-piece by piece from one stream of them, so its memory grows with that
-number only by the JSON report's costs, 8 bytes a solution for at most
---cap of them. emit and graph write their document to stdout or to --out.
-emit refuses a flag its target does not read, and count a flag its mode
-does not read. Output is deterministic for fixed inputs; only bench timing
-fields vary between runs.
+solutions, asks one prepared solve for their count and then for one stream
+of them, and writes the report piece by piece, so its memory grows with
+that number only by the JSON report's costs, 8 bytes a solution for at
+most --cap of them. bench asks one plain prepared solve for each prefix's
+first solution and both streams, and find_best for its cheapest. emit and
+graph write their document to stdout or to --out. emit refuses a flag its
+target does not read, and count a flag its mode does not read. Output is
+deterministic for fixed inputs; only bench timing fields vary between runs.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ from .solver import (
     count_solutions,
     find_best,
     find_feasible,
-    iter_assignments,
     quick_reject,
-    _counted_stream,
+    _Solve,
 )
 
 EXIT_OK = 0
@@ -278,13 +278,13 @@ def _cmd_solve_all(args) -> int:
     """Write every solution's report to stdout piece by piece.
 
     The report is the document of enumerate_all's list, but no list is kept:
-    the count that heads it is count_solutions', so a run over --cap writes
-    nothing, and the solutions are streamed once to write them, both from
-    one prepared solve. A count that has to stream stops past --cap. For
-    JSON the stream also keeps their costs, at most --cap of them in 8
-    bytes each, which close the report. A text piece is cheaper to format
-    than to look up, so only JSON pieces are cached: each Binding's is
-    rendered once and reused in every solution holding it. A solve shares
+    one prepared solve gives the count that heads it, as count_solutions
+    does, so a run over --cap writes nothing, and then streams the
+    solutions once to write them. A count that has to stream stops past
+    --cap. For JSON the stream also keeps their costs, at most --cap of
+    them in 8 bytes each, which close the report. A text piece is cheaper
+    to format than to look up, so only JSON pieces are cached: each
+    Binding's is rendered once and reused in every solution holding it. A solve shares
     one Binding per (slot, pin), which lives as long as its stream, so the
     cache stays that small and is keyed by the Binding's id, for that one
     stream. Each solution goes out in its own write, so memory
@@ -295,12 +295,14 @@ def _cmd_solve_all(args) -> int:
     options = SolveOptions(Semantics(args.semantics), tuple(args.rule), args.cap)
     cap = options.enumeration_cap
     over = f"more than {cap} solutions; raise --cap to list them all"
+    solve = _Solve(board, request, options)
     try:
-        count, solutions = _counted_stream(board, request, options)
+        count = solve.count(options.semantics)
     except EnumerationLimitError:  # counted by streaming, and past the cap
         raise ValueError(over) from None
     if count > cap:
         raise ValueError(over)
+    solutions = solve.stream(options.semantics)
     write = sys.stdout.write
     if args.format == "text":
         write(f"{count} solutions ({args.semantics})\n")
@@ -512,6 +514,8 @@ def bench(
 
     Returns one row per length with solution counts under both semantics,
     first-feasible and best costs, and wall-clock times (monotonic, seconds).
+    One plain prepared solve per length answers the first cost and both
+    counts, so t_all times its two streams alone.
     Per-length errors are recorded in the row instead of aborting the run.
     """
     if not 1 <= max_len <= request.length:
@@ -524,13 +528,14 @@ def bench(
         row: dict = {"length": length}
         try:
             t0 = time.monotonic()
-            first = find_feasible(board, prefix, options)
+            solve = _Solve(board, prefix, options)
+            first = solve.first()
             row["t_feasible"] = time.monotonic() - t0
             row["first_cost"] = first.total_cost if isinstance(first, Assignment) else None
 
             t0 = time.monotonic()
             pinsets, labeled = (
-                sum(1 for _ in iter_assignments(board, prefix, SolveOptions(s, options.rules)))
+                sum(1 for _ in solve.stream(s))
                 for s in (Semantics.UNIQUE_PIN_SETS, Semantics.LABELED)
             )
             row["t_all"] = time.monotonic() - t0

@@ -16,6 +16,14 @@ slot-to-pin map (two slots of the same kind with swapped pins are two
 solutions). UNIQUE_PIN_SETS counts one representative per distinct set of
 used pins, namely the smallest binding realizing that set.
 
+Every public solve asks one question of a _Solve, a prepared solve: its
+constructor raises AllPinsUsedWarning when the request needs every pin on
+the board, and runs _prepare once, which builds the instance and one
+matching of all its slots, or the Infeasible. Its questions are the first
+solution, a stream of them and their count; each stream searches from its
+own copy of that matching, so one solve answers any number of them, as
+the CLI's solve-all and bench ask it to.
+
 iter_assignments is a depth-first search over one kept matching of all
 slots: _prepare builds it, and a bind that takes a pin another slot holds
 either repairs it with one augmenting path or skips that pin. The repair
@@ -87,9 +95,10 @@ of at most _MEMO_CELLS cells, under 1.5 MB; pin-set streaming keeps no memo
 but remembers every distinct pin set it has yielded.
 
 count_solutions counts what iter_assignments would stream without walking
-the search: after _prepare, a dynamic program over demand vectors, within
+the search (_Solve.count): a dynamic program over demand vectors, within
 _COUNT_CELLS cells of work, and past them the stream itself, stopped past
-options.enumeration_cap.
+options.enumeration_cap by the rule that stops enumerate_all
+(_Solve.capped).
 """
 
 from __future__ import annotations
@@ -123,7 +132,7 @@ _FREE = sys.maxsize  # owner's entry for a free pin, above every slot number
 # 28,650.
 _MEMO_CELLS = 1 << 17
 _CELLS_PER_TUPLE = 20
-# count_solutions' folds work within _COUNT_CELLS cells: a labeled fold
+# _Solve.count's folds work within _COUNT_CELLS cells: a labeled fold
 # charges each eligible pin every demand vector, known before it starts; a
 # pin-set fold charges each live state every vector its bitset holds, so
 # its memory stays under a few MB. Past the budget, a count streams.
@@ -422,10 +431,12 @@ def quick_reject(board: Board, request: Request) -> Rejection | None:
 def _prepare(
     board: Board, request: Request, options: SolveOptions, by_cost: bool = False
 ) -> tuple[_Problem, list[int]] | Infeasible:
-    """Build the instance and owner, one matching of all its slots.
+    """Build the instance and owner, one matching of all its slots: the one
+    matching a _Solve builds (its constructor raises AllPinsUsedWarning, not
+    this function).
 
     Slots are inserted in order by _augment. Without by_cost there is one
-    level and nothing is blocked. With by_cost (find_best only) they are
+    level and nothing is blocked. With by_cost (find_best's solve) they are
     inserted one cost level at a time, cheapest first, with dearer pins
     blocked, and a slot that fails at a level waits for the next. A pin
     costs the same whichever slot it serves, so the pin sets of full
@@ -458,13 +469,6 @@ def _prepare(
     therefore keep one below every open node; spares are matched but never
     bound.
     """
-    if 0 < request.length == len(board):
-        warnings.warn(
-            "request length equals the board's pin count; "
-            "an assignment would leave no pin free",
-            AllPinsUsedWarning,
-            stacklevel=3,
-        )
     problem = _Problem(board, request, options.rules)
     for kind, supporters in problem.elig.items():
         if not supporters:
@@ -774,88 +778,86 @@ def _iter_bindings(
             return
 
 
-def find_feasible(
-    board: Board, request: Request, options: SolveOptions = SolveOptions()
-) -> SolveOutcome:
-    """Return the lexicographically smallest valid assignment, or Infeasible.
+class _Solve:
+    """One prepared solve of (board, request, options), asked any number of
+    questions: the first solution, a stream of them, or their count.
 
-    It is the first solution of the labeled enumeration. Deterministic: slot
-    order is the canonical request order and pins are tried in declaration
-    order, so reruns and slot permutations of the same request give the same
-    answer.
+    The constructor raises AllPinsUsedWarning when the request needs every
+    pin on the board, naming the line that called the public function it
+    runs under (stacklevel=3), and runs _prepare once, by_cost for
+    find_best's cheapest search. Each stream searches from its own copy of
+    the matching _prepare kept, so streams do not disturb each other even
+    when interleaved, and no question changes what another answers; an
+    infeasible solve answers with its Infeasible, no solution and 0.
     """
-    prepared = _prepare(board, request, options)
-    if isinstance(prepared, Infeasible):
-        return prepared
-    return next(_iter_bindings(*prepared, Semantics.LABELED))
 
+    __slots__ = ("options", "prepared")
 
-def iter_assignments(
-    board: Board, request: Request, options: SolveOptions = SolveOptions()
-) -> Iterator[Assignment]:
-    """Stream all solutions under the chosen semantics, lexicographically."""
-    prepared = _prepare(board, request, options)
-    if isinstance(prepared, Infeasible):
-        return
-    yield from _iter_bindings(*prepared, options.semantics)
+    def __init__(
+        self, board: Board, request: Request, options: SolveOptions, by_cost: bool = False
+    ):
+        if 0 < request.length == len(board):
+            warnings.warn(
+                "request length equals the board's pin count; "
+                "an assignment would leave no pin free",
+                AllPinsUsedWarning,
+                stacklevel=3,
+            )
+        self.options = options
+        self.prepared = _prepare(board, request, options, by_cost)
 
+    def first(self) -> SolveOutcome:
+        """The first labeled solution, or the Infeasible. It searches the kept
+        matching itself, not a copy: the search stops at its first solution,
+        leaving a matching of all slots there, and which one does not change
+        any search's answers (_iter_bindings)."""
+        if isinstance(self.prepared, Infeasible):
+            return self.prepared
+        return next(_iter_bindings(*self.prepared, Semantics.LABELED))
 
-def count_solutions(
-    board: Board, request: Request, options: SolveOptions = SolveOptions()
-) -> int:
-    """The number of solutions iter_assignments streams, building none of them.
+    def stream(self, semantics: Semantics) -> Iterator[Assignment]:
+        """Every solution under semantics, lexicographically."""
+        if isinstance(self.prepared, Infeasible):
+            return iter(())
+        problem, owner = self.prepared
+        return _iter_bindings(problem, owner.copy(), semantics)
 
-    _prepare decides feasibility (0 when infeasible) and warns exactly as
-    iter_assignments does. A count then folds the eligible pins into
-    demand vectors, the slots each kind has filled, one mixed-radix integer
-    over the requested kinds. Both counts are #P-hard in general (a
-    permanent, and the bases of a transversal matroid), so a fold that would
-    exceed _COUNT_CELLS cells gives up, and the solutions are counted by
-    streaming them instead: at most options.enumeration_cap + 1 of them,
-    raising EnumerationLimitError past the cap, as enumerate_all does.
-    """
-    prepared = _prepare(board, request, options)
-    if isinstance(prepared, Infeasible):
-        return 0
-    return _count(prepared, options)
-
-
-def _counted_stream(
-    board: Board, request: Request, options: SolveOptions
-) -> tuple[int, Iterator[Assignment]]:
-    """count_solutions and iter_assignments from one _prepare: the count,
-    and a stream of the solutions it counts."""
-    prepared = _prepare(board, request, options)
-    if isinstance(prepared, Infeasible):
-        return 0, iter(())
-    return _count(prepared, options), _iter_bindings(*prepared, options.semantics)
-
-
-def _count(prepared: tuple[_Problem, list[int]], options: SolveOptions) -> int:
-    """count_solutions past _prepare. A streamed count searches from a copy
-    of the matching, so prepared still starts a stream as _prepare left it."""
-    elig = prepared[0].elig
-    demand = Counter(prepared[0].slots)
-    strides, size = {}, 1
-    for kind in elig:
-        strides[kind] = size
-        size *= demand[kind] + 1
-    types: dict[int, tuple[str, ...]] = {}  # each eligible pin's requested kinds
-    for kind, pins in elig.items():
-        for p in pins:
-            types[p] = (*types.get(p, ()), kind)
-    if options.semantics is Semantics.LABELED:
-        count = _count_labeled(types.values(), demand, strides, size)
-    else:
-        count = _count_pin_sets(Counter(types.values()), demand, strides, size)
-    if count is None:
-        problem, owner = prepared
-        cap = options.enumeration_cap
-        stream = _iter_bindings(problem, owner.copy(), options.semantics)
-        count = sum(1 for _ in islice(stream, cap + 1))
-        if count > cap:
+    def capped(self, semantics: Semantics) -> Iterator[Assignment]:
+        """stream(semantics), raising EnumerationLimitError in place of a
+        solution past options.enumeration_cap."""
+        cap = self.options.enumeration_cap
+        stream = self.stream(semantics)
+        yield from islice(stream, cap)
+        if next(stream, None) is not None:
             raise EnumerationLimitError(cap)
-    return count
+
+    def count(self, semantics: Semantics) -> int:
+        """The number of solutions stream(semantics) yields, building none of
+        them: the eligible pins folded into demand vectors, the slots each
+        kind has filled, one mixed-radix integer over the requested kinds.
+        Both counts are #P-hard in general (a permanent, and the bases of a
+        transversal matroid), so a fold that would exceed _COUNT_CELLS cells
+        gives up, and the solutions are counted by streaming them instead,
+        through capped."""
+        if isinstance(self.prepared, Infeasible):
+            return 0
+        elig = self.prepared[0].elig
+        demand = Counter(self.prepared[0].slots)
+        strides, size = {}, 1
+        for kind in elig:
+            strides[kind] = size
+            size *= demand[kind] + 1
+        types: dict[int, tuple[str, ...]] = {}  # each eligible pin's requested kinds
+        for kind, pins in elig.items():
+            for p in pins:
+                types[p] = (*types.get(p, ()), kind)
+        if semantics is Semantics.LABELED:
+            count = _count_labeled(types.values(), demand, strides, size)
+        else:
+            count = _count_pin_sets(Counter(types.values()), demand, strides, size)
+        if count is None:
+            count = sum(1 for _ in self.capped(semantics))
+        return count
 
 
 def _count_labeled(types, demand: Counter, strides: dict, size: int) -> int | None:
@@ -926,6 +928,38 @@ def _count_pin_sets(groups: Counter, demand: Counter, strides: dict, size: int) 
     return sum(ways for state, ways in states.items() if state >> size - 1)
 
 
+def find_feasible(
+    board: Board, request: Request, options: SolveOptions = SolveOptions()
+) -> SolveOutcome:
+    """Return the lexicographically smallest valid assignment, or Infeasible.
+
+    It is the first solution of the labeled enumeration. Deterministic: slot
+    order is the canonical request order and pins are tried in declaration
+    order, so reruns and slot permutations of the same request give the same
+    answer.
+    """
+    return _Solve(board, request, options).first()
+
+
+def iter_assignments(
+    board: Board, request: Request, options: SolveOptions = SolveOptions()
+) -> Iterator[Assignment]:
+    """Stream all solutions under the chosen semantics, lexicographically."""
+    yield from _Solve(board, request, options).stream(options.semantics)
+
+
+def count_solutions(
+    board: Board, request: Request, options: SolveOptions = SolveOptions()
+) -> int:
+    """The number of solutions iter_assignments streams, building none of them.
+
+    0 when the request is infeasible. A count is exact at any size, except
+    one that has to stream past options.enumeration_cap solutions, which
+    raises EnumerationLimitError, as enumerate_all does (_Solve.count).
+    """
+    return _Solve(board, request, options).count(options.semantics)
+
+
 def enumerate_all(
     board: Board, request: Request, options: SolveOptions = SolveOptions()
 ) -> list[Assignment]:
@@ -935,16 +969,7 @@ def enumerate_all(
     instead of materializing more than options.enumeration_cap solutions;
     use iter_assignments to stream larger spaces.
     """
-    # _prepare directly, not through iter_assignments, so that its
-    # AllPinsUsedWarning names this function's caller.
-    prepared = _prepare(board, request, options)
-    if isinstance(prepared, Infeasible):
-        return []
-    cap = options.enumeration_cap
-    out = list(islice(_iter_bindings(*prepared, options.semantics), cap + 1))
-    if len(out) > cap:
-        raise EnumerationLimitError(cap)
-    return out
+    return list(_Solve(board, request, options).capped(options.semantics))
 
 
 def find_best(
@@ -957,7 +982,4 @@ def find_best(
     also decides feasibility, so an infeasible request returns _prepare's
     Infeasible. The answer is that search's first labeled solution.
     """
-    prepared = _prepare(board, request, options, by_cost=True)
-    if isinstance(prepared, Infeasible):
-        return prepared
-    return next(_iter_bindings(*prepared, Semantics.LABELED))
+    return _Solve(board, request, options, by_cost=True).first()

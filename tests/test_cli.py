@@ -541,6 +541,23 @@ def test_bench_error_row_is_printed_then_exits_2(monkeypatch, capsys, fmt):
 
 
 @pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_bench_prepares_two_matchings_per_prefix(demo_board, monkeypatch):
+    """One plain solve answers the first cost and both counts, and find_best
+    prepares the cheapest search: two _prepare runs per prefix, not four."""
+    lengths = []
+    prepare = solver._prepare
+
+    def counted(board, request, *args, **kwargs):
+        lengths.append(request.length)
+        return prepare(board, request, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_prepare", counted)
+    rows = bench(demo_board, parse_request(DEMO_REQUEST), 6)
+    assert not any("error" in row for row in rows)
+    assert lengths == [length for length in range(1, 7) for _ in range(2)]
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
 def test_bench_ten_rows_on_demo_board(capsys):
     request = "analog,analog,analog,icu,analog,analog,serial-tx,serial-rx,can-tx,i2c-sda"
     code = run(["bench", "--board", DEMO, "--request", request, "--format", "json"])

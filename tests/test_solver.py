@@ -1646,3 +1646,62 @@ def test_pin_set_fold_gives_up_within_its_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
+
+
+@pytest.mark.filterwarnings("ignore::pinassign.AllPinsUsedWarning")
+def test_questions_of_one_solve_do_not_disturb_each_other(demo_board, monkeypatch):
+    """One prepared solve answers each question as the one-shot public call
+    does, whatever it was asked before: its count, the labeled stream
+    twice, the pin-set stream, both streams interleaved, then its first
+    solution and the pin-set stream again; and find_best's solve gives its
+    first solution again after streaming. Without a count budget, the count
+    streams first, from its own copy of the matching."""
+    instances = [
+        (demo_board, Request(parse_request(text).slots[:length]))
+        for text in DEMO_REQUESTS
+        for length in range(1, 11)
+    ]
+    instances += instance_family(seed=2024, count=400)
+    budget = solver._COUNT_CELLS
+    for board, request in instances:
+        for rules in RULE_SETS:
+            plain = SolveOptions(rules=rules)
+            labeled = SolveOptions(Semantics.LABELED, rules)
+            count = count_solutions(board, request, labeled)
+            every = list(iter_assignments(board, request, labeled))
+            pin_sets = list(iter_assignments(board, request, plain))
+            first = find_feasible(board, request, plain)
+            best = find_best(board, request, plain)
+            cheapest = solver._Solve(board, request, plain, by_cost=True)
+            assert cheapest.first() == best
+            if not isinstance(best, Infeasible):
+                assert next(cheapest.stream(Semantics.LABELED)) == best
+            assert cheapest.first() == best
+            # Ends on the budget, under which the one-shot answers are taken.
+            for cells in (0, budget):
+                monkeypatch.setattr(solver, "_COUNT_CELLS", cells)
+                solve = solver._Solve(board, request, labeled)
+                assert solve.count(Semantics.LABELED) == count
+                streamed = list(solve.stream(Semantics.LABELED))
+                assert streamed == every
+                # The same solve shares its Bindings, so this compares fast.
+                assert list(solve.stream(Semantics.LABELED)) == streamed
+                assert list(solve.stream(Semantics.UNIQUE_PIN_SETS)) == pin_sets
+                interleaved = zip(
+                    solve.stream(Semantics.LABELED), solve.stream(Semantics.UNIQUE_PIN_SETS)
+                )
+                assert list(interleaved) == list(zip(streamed, pin_sets))
+                # first() searches the kept matching itself, and a later
+                # stream still answers as before.
+                assert solve.first() == first
+                assert list(solve.stream(Semantics.UNIQUE_PIN_SETS)) == pin_sets
+
+
+def test_one_solve_warns_once_whatever_it_is_asked(two_pin_board):
+    with pytest.warns(AllPinsUsedWarning) as record:
+        solve = solver._Solve(two_pin_board, parse_request("analog,analog"), SolveOptions())
+        solve.first()
+        solve.count(Semantics.LABELED)
+        list(solve.stream(Semantics.LABELED))
+        list(solve.capped(Semantics.UNIQUE_PIN_SETS))
+    assert len(record) == 1
