@@ -23,8 +23,15 @@ detail, a Pin its id, at least one entry and no repeated entry, and a Board
 its name and that no id repeats. The name is what a header line can carry
 back: no line break, no ``#`` and no outer blanks. So every token a consumer
 of a Board writes comes from this grammar, and serialize_board's text parses
-back to an equal Board. parse_board checks only the syntax around these
-values and reports a value's fault at its line and column.
+back to an equal Board.
+
+parse_board matches each pin line once against the whole line grammar. A
+line that matches, with no repeated entry, proves every check its values
+would make, so its FunctionEntry and Pin values are built without running
+them again; only the Board is built through its constructor. Any other line
+goes through the per-token path, which exists to word the fault: it builds
+each value through its constructor and reports the first fault at its line
+and column.
 
 A Board also keeps a private dict, _tables, in which the solver keeps the
 eligibility tables it builds for the Board, one per rule set. Equality,
@@ -44,10 +51,22 @@ from dataclasses import dataclass, field
 
 NO_DETAIL = "-"
 
-_KIND_RE = re.compile(r"[A-Za-z][A-Za-z0-9_-]*\Z")
+_KIND = r"[A-Za-z][A-Za-z0-9_-]*"
+_DETAIL = r"[A-Za-z0-9_]+"
+_PIN_ID = r"[A-Za-z][A-Za-z0-9_]*"
+_KIND_RE = re.compile(_KIND + r"\Z")
 CANONICAL_KIND_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
-_PIN_ID_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_DETAIL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_PIN_ID_RE = re.compile(_PIN_ID + r"\Z")
+_DETAIL_RE = re.compile(_DETAIL + r"\Z")
+# _PIN_LINE_RE matches a valid pin line from its keyword to its last entry,
+# capturing the id; _ENTRY_RE then reads each entry's kind and detail (empty
+# when omitted). \s is exactly the set of characters str.strip removes. Each
+# blank run sits between tokens that cannot hold a blank, so a match, or a
+# refusal, takes linear time. The line pattern captures no entry: a capture
+# inside its repeat would cost time on every entry, for nothing.
+_ENTRY = rf"{_KIND}(?:\s*/\s*{_DETAIL})?"
+_PIN_LINE_RE = re.compile(rf"pin\s+({_PIN_ID})\s*=\s*{_ENTRY}\s*(?:,\s*{_ENTRY}\s*)*")
+_ENTRY_RE = re.compile(rf"({_KIND})(?:\s*/\s*({_DETAIL}))?")
 
 
 class BoardParseError(ValueError):
@@ -191,7 +210,34 @@ def _parse_entry(chunk: str, line_no: int, col: int) -> FunctionEntry:
         raise BoardParseError(str(exc), line_no, col) from None
 
 
+def _entry(kind: str, detail: str) -> FunctionEntry:
+    # A FunctionEntry built without the checks a grammar match has proved.
+    # Its fields are set in order by object.__setattr__, as the generated
+    # __init__ sets them, so it is laid out as a constructed one; a write
+    # through __dict__ would give each value a dict of its own.
+    entry = object.__new__(FunctionEntry)
+    object.__setattr__(entry, "kind", kind)
+    object.__setattr__(entry, "detail", detail)
+    return entry
+
+
 def _parse_pin_line(line: str, line_no: int, start: int) -> Pin:
+    # start: 0-based index in line of the "pin" keyword. A line the grammar
+    # matches, with no repeated entry, is built as _entry builds an entry;
+    # any other line goes through the tokens, which word its fault.
+    match = _PIN_LINE_RE.fullmatch(line, start)
+    if match:
+        pairs = [(kind.upper().replace("-", "_"), detail or NO_DETAIL)
+                 for kind, detail in _ENTRY_RE.findall(line, match.end(1))]
+        if len(set(pairs)) == len(pairs):
+            pin = object.__new__(Pin)
+            object.__setattr__(pin, "id", match[1])
+            object.__setattr__(pin, "entries", tuple([_entry(*pair) for pair in pairs]))
+            return pin
+    return _parse_pin_tokens(line, line_no, start + 3)
+
+
+def _parse_pin_tokens(line: str, line_no: int, start: int) -> Pin:
     # start: 0-based index in line just past the "pin" keyword.
     head, eq, tail = line[start:].partition("=")
     if not eq:
@@ -214,9 +260,11 @@ def _parse_pin_line(line: str, line_no: int, start: int) -> Pin:
 def parse_board(text: str) -> Board:
     """Parse a board document, preserving pin declaration order.
 
-    Raises BoardParseError on syntax errors and on every fault the Board,
-    Pin and FunctionEntry constructors refuse, at the line and column of
-    the refused value.
+    Each pin line is matched once against the line grammar; a valid line's
+    values are built without re-validation, and the per-token path runs
+    only to word a fault. Raises BoardParseError on syntax errors and on
+    every fault the Board, Pin and FunctionEntry constructors refuse, at
+    the line and column of the refused value.
     """
     name: str | None = None
     header = (0, 0)
@@ -240,7 +288,7 @@ def parse_board(text: str) -> Board:
             header = (line_no, line.rfind("\r") + 1)
             continue
         if stripped.startswith("pin") and len(stripped) > 3 and stripped[3].isspace():
-            pins.append(_parse_pin_line(line, line_no, indent + 3))
+            pins.append(_parse_pin_line(line, line_no, indent))
             places.append((line_no, indent + 1))
             continue
         raise BoardParseError("expected 'pin' or 'board' line", line_no, indent + 1)

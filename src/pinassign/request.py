@@ -7,15 +7,27 @@ defined over the canonical form: the same multiset sorted by kind name.
 A Request holds canonical kinds only (``[A-Z][A-Z0-9_]*``, as on a Board),
 however it was built. This module only parses and canonicalizes; the solver
 module checks a request against a board (quick_reject, the solves).
+
+parse_request matches a whole text once against the request grammar. A text
+that matches proves every check the Request would make, so it is
+canonicalized in one pass and its Request built without re-validation. Any
+other text goes through the per-token path, which finds a blank text (the
+empty request) or words the fault.
 """
 
 from __future__ import annotations
 
 __all__ = ["Request", "RequestParseError", "parse_request"]
 
+import re
 from dataclasses import dataclass
 
-from .board import CANONICAL_KIND_RE, canonical_kind
+from .board import _KIND, CANONICAL_KIND_RE, canonical_kind
+
+# A valid nonblank request: kind tokens between commas, blanks around them.
+# \s is exactly the set of characters str.strip removes, and each blank run
+# sits between tokens that cannot hold a blank, so a match takes linear time.
+_REQUEST_RE = re.compile(rf"\s*{_KIND}\s*(?:,\s*{_KIND}\s*)*")
 
 
 class RequestParseError(ValueError):
@@ -49,9 +61,21 @@ def parse_request(text: str) -> Request:
     """Parse a comma-separated list of kind tokens into a Request.
 
     Whitespace around tokens is ignored. The empty (or blank) string is the
-    empty request. Raises RequestParseError on empty tokens between commas or
-    tokens outside the kind grammar.
+    empty request. A valid nonblank text is matched once and built without
+    re-validation; the per-token path reads the others, to find a blank
+    text or to word a fault. Raises RequestParseError on empty tokens
+    between commas or tokens outside the kind grammar.
     """
+    if _REQUEST_RE.fullmatch(text):
+        # The match proved every token, so the text is canonicalized whole,
+        # its blanks dropped and split at its commas, and the Request built
+        # without its checks, field by field as __init__ and __post_init__
+        # set them.
+        slots = tuple("".join(text.upper().replace("-", "_").split()).split(","))
+        request = object.__new__(Request)
+        object.__setattr__(request, "slots", slots)
+        object.__setattr__(request, "canonical", tuple(sorted(slots)))
+        return request
     if not text.strip():
         return Request(())
     slots = []

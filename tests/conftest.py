@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import copy as copy_module
+import dataclasses
+import gc
 import io
+import pickle
 import random
+import re
+import tracemalloc
 from itertools import accumulate
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from pinassign import Board, FunctionEntry, Pin, Request, emit_prolog, parse_board
 
@@ -109,3 +116,63 @@ def _k_factor_row(n, m):
     for _ in range(m - 1):
         row = list(accumulate(row[1:], initial=1))
     return row
+
+
+# parse_board and parse_request run their per-token path on a text their
+# grammar pattern refuses, so patching in a pattern that matches nothing runs
+# it on every text: the reference a matched text's value is checked against.
+REFUSE_ALL = re.compile(r"(?!)")
+
+# Some of the 29 characters str.strip removes; "\x1c", "\x85" and "\u2028"
+# end a line for str.splitlines but not for parse_board.
+BLANK = " \t\r\x1c\x85\xa0\u2028\u3000"
+JUNK = st.text(alphabet="aZpin9_-/,=#" + BLANK, min_size=1, max_size=4)
+
+
+def spoiled(draw, pieces) -> str:
+    """Join a text drawn from pieces, one of which may be drawn as JUNK."""
+    spoil = draw(st.integers(-len(pieces), len(pieces) - 1))  # below 0: none
+    return "".join(draw(JUNK if i == spoil else piece) for i, piece in enumerate(pieces))
+
+
+def parse_outcome(parse, text):
+    """What parse gives for text: the value with its repr and instance dict,
+    or the type and message of the error it raises."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return value, repr(value), vars(value)
+
+
+def assert_built_alike(parsed, built):
+    """Nothing a caller can observe tells a parsed value from a constructed
+    one: type, equality, hash, repr, the instance dict's items in order,
+    asdict, a pickle and a copy of each depth, and frozenness."""
+    assert type(parsed) is type(built) and parsed == built
+    assert hash(parsed) == hash(built) and repr(parsed) == repr(built)
+    assert list(vars(parsed).items()) == list(vars(built).items())
+    assert dataclasses.asdict(parsed) == dataclasses.asdict(built)
+    for copy in (pickle.loads(pickle.dumps(parsed)), copy_module.copy(parsed),
+                 copy_module.deepcopy(parsed)):
+        assert type(copy) is type(built) and copy == built and hash(copy) == hash(built)
+        assert list(vars(copy).items()) == list(vars(built).items())
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(parsed, dataclasses.fields(parsed)[0].name, None)
+
+
+def held_bytes(build):
+    """Build a value under tracemalloc; return it and the traced bytes it holds.
+
+    The collector is run first and kept off while tracing, so that freeing
+    some earlier test's garbage cannot offset the count."""
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        value = build()
+        return value, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()

@@ -1,8 +1,13 @@
 """Board model: parsing, serialization round-trip, costs, stats."""
 
-import pytest
-from hypothesis import given, strategies as st
+import dataclasses
+import random
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pinassign import board as board_module
 from pinassign import (
     Board,
     BoardParseError,
@@ -14,7 +19,10 @@ from pinassign import (
     serialize_board,
 )
 
-from conftest import TWO_PIN_TEXT
+from conftest import (
+    BLANK, DEMO_BOARD_PATH, JUNK, REFUSE_ALL, assert_built_alike, held_bytes,
+    parse_outcome, spoiled,
+)
 
 
 def test_reference_pins_have_expected_costs(two_pin_board):
@@ -298,3 +306,99 @@ def test_built_pin_is_refused_or_round_trips(board, pin_id, kind, detail):
 def test_cost_equals_entry_count_everywhere(board):
     for pin in board.pins:
         assert board.pin(pin.id).cost == len(pin.entries) >= 1
+
+
+_blanks = st.text(alphabet=BLANK, max_size=2)
+
+
+@st.composite
+def pin_lines(draw):
+    """Pin lines, about half of them valid. The kinds and details come from
+    small pools, so entries often repeat, some after canonicalization."""
+    kinds = st.sampled_from(["a", "A", "serial-tx", "SERIAL_TX", "i2c", "x9_-"])
+    details = st.sampled_from(["d1", "D1", "9", "tim_2", "-", ""])
+    slash = st.tuples(_blanks, st.just("/"), _blanks, details).map("".join)
+    entry = st.tuples(kinds, st.one_of(st.just(""), slash)).map("".join)
+    pieces = [_blanks, st.just("pin"), st.text(alphabet=BLANK, min_size=1, max_size=2),
+              st.sampled_from(["P1", "pa1", "Q_2", "9bad"]), _blanks, st.just("="), _blanks, entry]
+    for _ in range(draw(st.integers(0, 3))):
+        pieces += [_blanks, st.just(","), _blanks, entry]
+    pieces += [_blanks, st.one_of(st.just(""), JUNK.map("#".__add__))]
+    return spoiled(draw, pieces)
+
+
+@st.composite
+def board_texts(draw):
+    header = st.sampled_from(["board demo", "board", " board  x y ", "boardx", "# c"])
+    lines = draw(st.lists(st.one_of(pin_lines(), header, _blanks, JUNK), max_size=5))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def assert_per_token_alike(text):
+    """parse_board gives text the same value or the same error, whether its
+    line pattern matches the pin lines or the per-token path reads them."""
+    matched = parse_outcome(parse_board, text)
+    with mock.patch.object(board_module, "_PIN_LINE_RE", REFUSE_ALL):
+        assert parse_outcome(parse_board, text) == matched
+
+
+@settings(max_examples=400)
+@given(pin_lines())
+def test_a_matched_pin_line_parses_as_its_tokens_do(line):
+    assert_per_token_alike(line)
+
+
+@settings(max_examples=200)
+@given(board_texts())
+def test_a_matched_board_parses_as_its_tokens_do(text):
+    assert_per_token_alike(text)
+
+
+def test_parsed_values_are_indistinguishable_from_constructed_ones():
+    """parse_board builds a matched line's FunctionEntry and Pin values
+    without their constructors. Every pin and entry of the demo board, and
+    a line with an omitted detail and a kind to canonicalize."""
+    text = DEMO_BOARD_PATH.read_text(encoding="utf-8") + "pin PZ9 = serial-tx, icu / TIM_1\n"
+    board = parse_board(text)
+    assert board.pins[-1].entries == (FunctionEntry("SERIAL_TX"), FunctionEntry("ICU", "TIM_1"))
+    for pin in board.pins:
+        entries = tuple(FunctionEntry(entry.kind, entry.detail) for entry in pin.entries)
+        for parsed, built in zip(pin.entries, entries):
+            assert_built_alike(parsed, built)
+            moved = dataclasses.replace(parsed, detail="X1")
+            assert moved == FunctionEntry(parsed.kind, "X1") and type(moved) is FunctionEntry
+            with pytest.raises(ValueError, match="is not canonical"):
+                dataclasses.replace(parsed, kind="icu")
+        assert_built_alike(pin, Pin(pin.id, entries))
+        assert dataclasses.replace(pin, id="Q") == Pin("Q", entries)
+        with pytest.raises(ValueError, match="duplicate entry"):
+            dataclasses.replace(pin, entries=entries + entries[:1])
+    assert board == Board(board.pins, board.name)
+
+
+def thousand_pin_text() -> str:
+    rng = random.Random(37)
+    kinds = ["analog", "ICU", "pwm", "serial-tx", "SERIAL_RX", "can-tx", "i2c_sda", "I2C-SCL"]
+    lines = ["board generated"]
+    for i in range(1000):
+        entries = (f"{kind}/D{i}_{j}" if rng.random() < 0.8 else kind
+                   for j, kind in enumerate(rng.sample(kinds, rng.randint(1, 6))))
+        lines.append(f"pin P{i} = " + ", ".join(entries))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text", [DEMO_BOARD_PATH.read_text(encoding="utf-8"), thousand_pin_text()],
+                         ids=["demo", "1000-pins"])
+def test_a_parsed_board_holds_no_more_memory_than_a_constructed_one(text):
+    """The per-token path builds every value through its constructor; the
+    board parse_board builds from matched lines may hold at most 1 KiB
+    more. A value whose fields were written through its __dict__ would hold
+    a dict of its own, 64 bytes or more each."""
+    with mock.patch.object(board_module, "_PIN_LINE_RE", REFUSE_ALL):
+        parse_board(text)  # once untraced, so neither side pays a first-call cost
+        built, built_bytes = held_bytes(lambda: parse_board(text))
+    parse_board(text)
+    parsed, parsed_bytes = held_bytes(lambda: parse_board(text))
+    assert parsed == built
+    assert parsed_bytes <= built_bytes + 1024, (parsed_bytes, built_bytes)

@@ -5,9 +5,10 @@ import dataclasses
 import pickle
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pinassign import (
     Request,
@@ -15,9 +16,13 @@ from pinassign import (
     parse_request,
     quick_reject,
 )
+from pinassign import request as request_module
 from pinassign.oracle import brute_force_solve
 
-from conftest import KIND_POOL, instance_family, random_board
+from conftest import (
+    BLANK, KIND_POOL, REFUSE_ALL, assert_built_alike, held_bytes, instance_family,
+    parse_outcome, random_board, spoiled,
+)
 
 
 def test_parse_two_analogs():
@@ -105,6 +110,58 @@ def test_canonical_is_kept_outside_the_fields():
         dataclasses.replace(request, slots=("pwm",))
     with pytest.raises(dataclasses.FrozenInstanceError):
         request.canonical = ()
+
+
+@st.composite
+def request_texts(draw):
+    """Request texts, about half of them valid, some blank or behind a
+    byte-order mark, which is no blank."""
+    blanks = st.text(alphabet=BLANK, max_size=2)
+    token = st.sampled_from(["analog", "ICU", "serial-tx", "can_RX", "i2c-sda", "x9_-"])
+    pieces = [blanks, token]
+    for _ in range(draw(st.integers(0, 4))):
+        pieces += [blanks, st.just(","), blanks, token]
+    pieces.append(blanks)
+    text = draw(blanks) if draw(st.integers(0, 4)) == 0 else spoiled(draw, pieces)
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=400)
+@given(request_texts())
+def test_a_matched_request_parses_as_its_tokens_do(text):
+    """parse_request gives text the same Request, canonical included, or
+    the same error, whether its pattern matches or its tokens are read."""
+    matched = parse_outcome(parse_request, text)
+    with mock.patch.object(request_module, "_REQUEST_RE", REFUSE_ALL):
+        assert parse_outcome(parse_request, text) == matched
+
+
+def test_a_parsed_request_is_indistinguishable_from_a_constructed_one():
+    """parse_request builds a matched text's Request without its
+    constructor. A replaced Request sorts its own canonical, and 1,000
+    parsed Requests hold at most 1 KiB more traced memory than the ones the
+    per-token path builds through the constructor, as no Request written
+    through its __dict__ would."""
+    parsed = parse_request(" icu,analog , serial-tx,\u3000analog")
+    built = Request(("ICU", "ANALOG", "SERIAL_TX", "ANALOG"))
+    assert_built_alike(parsed, built)
+    assert parsed.canonical == built.canonical == ("ANALOG", "ANALOG", "ICU", "SERIAL_TX")
+    assert list(vars(parsed)) == ["slots", "canonical"]
+    shorter = dataclasses.replace(parsed, slots=("PWM", "ANALOG"))
+    assert type(shorter) is Request and shorter.canonical == ("ANALOG", "PWM")
+    with pytest.raises(ValueError, match="is not canonical"):
+        dataclasses.replace(parsed, slots=("pwm",))
+    rng = random.Random(37)
+    texts = [", ".join(rng.choices(["analog", "serial-tx", "icu", "can-rx"], k=rng.randint(1, 40)))
+             for _ in range(1000)]
+    with mock.patch.object(request_module, "_REQUEST_RE", REFUSE_ALL):
+        [parse_request(text) for text in texts]  # once untraced: no first-call cost
+        built, built_bytes = held_bytes(lambda: [parse_request(text) for text in texts])
+    [parse_request(text) for text in texts]
+    parsed, parsed_bytes = held_bytes(lambda: [parse_request(text) for text in texts])
+    assert parsed == built
+    assert [request.canonical for request in parsed] == [request.canonical for request in built]
+    assert parsed_bytes <= built_bytes + 1024, (parsed_bytes, built_bytes)
 
 
 def test_quick_reject_absent_kind(two_pin_board):
